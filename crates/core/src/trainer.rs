@@ -977,6 +977,12 @@ impl<'t> FreshGnnStages<'_, '_> {
 /// FLOPs of one mini-batch forward+backward (≈3× forward, the usual
 /// estimate): aggregation over live edges plus dense transforms for
 /// computed destinations.
+///
+/// The 3× still charges layer 0's input-feature gradient, which the
+/// backward kernels no longer compute (input features are leaves, see
+/// `Model::backward_with`). Dropping that term moves the simulated compute
+/// time, and with it every committed `BENCH_*.json` baseline, so it waits
+/// for the per-stage compute ledger that re-blesses them anyway.
 pub fn batch_flops(mb: &MiniBatch, outcome: &PruneOutcome, dims: &[usize], arch: Arch) -> f64 {
     let mut fwd = 0.0;
     for (b, block) in mb.blocks.iter().enumerate() {

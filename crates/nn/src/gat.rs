@@ -146,9 +146,24 @@ impl GatLayer {
         h_src: &Matrix,
         d_out: &Matrix,
     ) -> Matrix {
+        let d_wh = self.backward_params(block, ctx, h_src, d_out.clone());
+        self.backward_input(&d_wh)
+    }
+
+    /// Parameter step of [`GatLayer::backward`]: everything but the final
+    /// `d_wh · Wᵀ`. Masks `d_out` through the activation, accumulates the
+    /// bias, attention and weight gradients, and returns `d_wh` (the
+    /// gradient w.r.t. `h_src · W`), which [`GatLayer::backward_input`]
+    /// starts from.
+    pub(crate) fn backward_params(
+        &mut self,
+        block: &Block,
+        ctx: &GatCtx,
+        h_src: &Matrix,
+        mut dz: Matrix,
+    ) -> Matrix {
         let n_dst = block.num_dst();
         let out_dim = self.out_dim();
-        let mut dz = d_out.clone();
         self.act.backward_inplace(&mut dz, &ctx.out);
 
         for (g, d) in self
@@ -223,10 +238,14 @@ impl GatLayer {
             *g += d;
         }
 
-        // Into W and h_src.
         let dw = ops::matmul_at_b(h_src, &d_wh).expect("gat dW");
         ops::add_assign(&mut self.weight.grad, &dw).expect("gat dW acc");
-        ops::matmul_a_bt(&d_wh, &self.weight.value).expect("gat d_h")
+        d_wh
+    }
+
+    /// Input-gradient tail of [`GatLayer::backward`]: `d_h_src = d_wh · Wᵀ`.
+    pub(crate) fn backward_input(&self, d_wh: &Matrix) -> Matrix {
+        ops::matmul_a_bt(d_wh, &self.weight.value).expect("gat d_h")
     }
 
     /// Mutable parameter references (stable order).

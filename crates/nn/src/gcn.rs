@@ -63,7 +63,14 @@ impl GcnLayer {
 
     /// Backward: accumulates parameter gradients, returns `d_h_src`.
     pub fn backward(&mut self, block: &Block, ctx: &GcnCtx, d_out: &Matrix) -> Matrix {
-        let mut dz = d_out.clone();
+        let dz = self.backward_params(ctx, d_out.clone());
+        self.backward_input(block, &dz)
+    }
+
+    /// Parameter step of [`GcnLayer::backward`]: masks `d_out` through the
+    /// activation and accumulates the weight and bias gradients. Returns the
+    /// masked gradient, which [`GcnLayer::backward_input`] starts from.
+    pub(crate) fn backward_params(&mut self, ctx: &GcnCtx, mut dz: Matrix) -> Matrix {
         self.act.backward_inplace(&mut dz, &ctx.out);
 
         let dw = ops::matmul_at_b(&ctx.agg, &dz).expect("gcn dW");
@@ -72,8 +79,13 @@ impl GcnLayer {
         for (g, &d) in self.bias.grad.row_mut(0).iter_mut().zip(&db) {
             *g += d;
         }
+        dz
+    }
 
-        let d_agg = ops::matmul_a_bt(&dz, &self.weight.value).expect("gcn d_agg");
+    /// Input-gradient tail of [`GcnLayer::backward`]: `d_h_src` from the
+    /// masked output gradient.
+    pub(crate) fn backward_input(&self, block: &Block, dz: &Matrix) -> Matrix {
+        let d_agg = ops::matmul_a_bt(dz, &self.weight.value).expect("gcn d_agg");
         let mut d_h_src = Matrix::zeros(block.num_src(), self.in_dim());
         mean_agg_with_self_backward(block, &d_agg, &mut d_h_src);
         d_h_src

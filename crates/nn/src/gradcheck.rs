@@ -102,6 +102,10 @@ pub fn check_parameter_gradients(
 
 /// Check the gradient w.r.t. the *input features* — the same machinery that
 /// produces the per-node embedding gradients the cache policy uses.
+///
+/// [`Model::backward`] treats the input features as leaves and never forms
+/// their gradient, so this chains [`crate::model::Layer::backward`] through
+/// every layer itself.
 pub fn check_input_gradients(
     model: &mut Model,
     mb: &MiniBatch,
@@ -113,7 +117,10 @@ pub fn check_input_gradients(
     model.zero_grad();
     let trace = model.forward(mb, h0.clone());
     let (_, d_top) = softmax_cross_entropy(trace.h.last().unwrap(), labels);
-    let analytic = model.backward(mb, &trace, d_top);
+    let mut analytic = d_top;
+    for (l, layer) in model.layers.iter_mut().enumerate().rev() {
+        analytic = layer.backward(&mb.blocks[l], &trace.ctx[l], &trace.h[l], &analytic);
+    }
 
     let mut a_vec = Vec::new();
     let mut n_vec = Vec::new();

@@ -77,12 +77,40 @@ impl Layer {
     }
 
     /// Backward over a block; accumulates parameter grads, returns `d_h_src`.
+    ///
+    /// This is the parameter step followed by the input-gradient tail;
+    /// [`Model::backward_with`] runs only the parameter step on layer 0.
     pub fn backward(&mut self, block: &Block, ctx: &Ctx, h_src: &Matrix, d_out: &Matrix) -> Matrix {
+        let carry = self.backward_params(block, ctx, h_src, d_out.clone());
+        self.backward_input(block, &carry)
+    }
+
+    /// Parameter step of the backward pass: chain `d_out` through the
+    /// activation and accumulate every parameter gradient. Returns the
+    /// intermediate gradient the input tail starts from (the masked output
+    /// gradient for GCN and GraphSAGE, `∂L/∂(h_src·W)` for GAT).
+    fn backward_params(
+        &mut self,
+        block: &Block,
+        ctx: &Ctx,
+        h_src: &Matrix,
+        d_out: Matrix,
+    ) -> Matrix {
         match (self, ctx) {
-            (Layer::Gcn(l), Ctx::Gcn(c)) => l.backward(block, c, d_out),
-            (Layer::Sage(l), Ctx::Sage(c)) => l.backward(block, c, d_out),
-            (Layer::Gat(l), Ctx::Gat(c)) => l.backward(block, c, h_src, d_out),
+            (Layer::Gcn(l), Ctx::Gcn(c)) => l.backward_params(c, d_out),
+            (Layer::Sage(l), Ctx::Sage(c)) => l.backward_params(c, d_out),
+            (Layer::Gat(l), Ctx::Gat(c)) => l.backward_params(block, c, h_src, d_out),
             _ => panic!("layer/ctx architecture mismatch"),
+        }
+    }
+
+    /// Input-gradient tail of the backward pass: `d_h_src` from what
+    /// [`Layer::backward_params`] returned.
+    fn backward_input(&self, block: &Block, carry: &Matrix) -> Matrix {
+        match self {
+            Layer::Gcn(l) => l.backward_input(block, carry),
+            Layer::Sage(l) => l.backward_input(block, carry),
+            Layer::Gat(l) => l.backward_input(carry),
         }
     }
 
@@ -183,8 +211,8 @@ impl Model {
         Trace { h, ctx }
     }
 
-    /// Plain backward; returns the gradient w.r.t. `h[0]` (input features).
-    pub fn backward(&mut self, mb: &MiniBatch, trace: &Trace, d_top: Matrix) -> Matrix {
+    /// Plain backward: accumulates every parameter gradient.
+    pub fn backward(&mut self, mb: &MiniBatch, trace: &Trace, d_top: Matrix) {
         self.backward_with(mb, trace, d_top, |_, _| {})
     }
 
@@ -195,19 +223,28 @@ impl Model {
     ///
     /// The FreshGNN cache policy reads per-node gradient norms here and
     /// zeroes the rows of cache-read nodes (detach).
+    ///
+    /// Input features are leaves, as in the paper's PyTorch implementation:
+    /// layer 0 runs only its parameter step, so the gradient w.r.t. `h[0]`
+    /// is never formed. [`Layer::backward`] still computes it for callers
+    /// that need it (`gradcheck::check_input_gradients`).
     pub fn backward_with(
         &mut self,
         mb: &MiniBatch,
         trace: &Trace,
         d_top: Matrix,
         mut hook: impl FnMut(usize, &mut Matrix),
-    ) -> Matrix {
+    ) {
         let mut d = d_top;
         for l in (0..self.layers.len()).rev() {
             hook(l + 1, &mut d);
-            d = self.layers[l].backward(&mb.blocks[l], &trace.ctx[l], &trace.h[l], &d);
+            let (block, layer) = (&mb.blocks[l], &mut self.layers[l]);
+            let carry = layer.backward_params(block, &trace.ctx[l], &trace.h[l], d);
+            if l == 0 {
+                break;
+            }
+            d = layer.backward_input(block, &carry);
         }
-        d
     }
 
     /// Zero all parameter gradients.
@@ -260,6 +297,7 @@ mod tests {
     use super::*;
     use fgnn_graph::sample::NeighborSampler;
     use fgnn_graph::Csr;
+    use fgnn_tensor::ops;
 
     fn toy_setup(arch: Arch) -> (MiniBatch, Matrix, Model) {
         let mut rng = Rng::new(1);
@@ -290,6 +328,56 @@ mod tests {
         let mut levels = Vec::new();
         model.backward_with(&mb, &trace, d_top, |l, _| levels.push(l));
         assert_eq!(levels, vec![2, 1]);
+    }
+
+    fn grad_bits(model: &mut Model) -> Vec<Vec<u32>> {
+        model
+            .params_mut()
+            .iter()
+            .map(|p| p.grad.as_slice().iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn params_only_backward_matches_chained_layer_backward() {
+        for arch in [Arch::Gcn, Arch::Sage, Arch::Gat] {
+            let mut rng = Rng::new(5);
+            let edges: Vec<(u32, u32)> = (0..40).map(|i| (i, (i * 7 + 3) % 41)).collect();
+            let g = Csr::from_undirected_edges(41, &edges);
+            let mut sampler = NeighborSampler::new(41);
+            let mb = sampler.sample(&g, &[1, 8, 20, 33], &[3, 3, 3], &mut rng);
+            let h0 = rng.normal_matrix(mb.input_nodes().len(), 5, 1.0);
+            let mut model = Model::new(arch, &[5, 8, 6, 4], &mut rng);
+            let trace = model.forward(&mb, h0);
+            let d_top = rng.normal_matrix(4, 4, 1.0);
+
+            model.zero_grad();
+            let mut d_level1 = None;
+            model.backward_with(&mb, &trace, d_top.clone(), |l, d| {
+                if l == 1 {
+                    d_level1 = Some(d.clone());
+                }
+            });
+            let params_only = grad_bits(&mut model);
+
+            model.zero_grad();
+            let mut d = d_top;
+            for (l, layer) in model.layers.iter_mut().enumerate().rev() {
+                d = layer.backward(&mb.blocks[l], &trace.ctx[l], &trace.h[l], &d);
+            }
+            assert_eq!(params_only, grad_bits(&mut model), "{arch}");
+
+            // Layer 0's step stated independently of the layer code: its
+            // bias gradient is the column sums of the level-1 gradient
+            // masked by the ReLU, and the mask must bite on this batch.
+            let d_level1 = d_level1.expect("hook fires at level 1");
+            let mut dz = d_level1.clone();
+            Activation::Relu.backward_inplace(&mut dz, &trace.h[1]);
+            assert_ne!(dz, d_level1, "{arch}: ReLU masks nothing");
+            let expect: Vec<u32> = ops::column_sums(&dz).iter().map(|x| x.to_bits()).collect();
+            let layer0_bias = model.layers[0].params_mut().len() - 1;
+            assert_eq!(params_only[layer0_bias], expect, "{arch}");
+        }
     }
 
     #[test]

@@ -65,7 +65,14 @@ impl SageLayer {
 
     /// Backward: accumulates parameter gradients, returns `d_h_src`.
     pub fn backward(&mut self, block: &Block, ctx: &SageCtx, d_out: &Matrix) -> Matrix {
-        let mut dz = d_out.clone();
+        let dz = self.backward_params(ctx, d_out.clone());
+        self.backward_input(block, &dz)
+    }
+
+    /// Parameter step of [`SageLayer::backward`]: masks `d_out` through the
+    /// activation and accumulates the weight and bias gradients. Returns the
+    /// masked gradient, which [`SageLayer::backward_input`] starts from.
+    pub(crate) fn backward_params(&mut self, ctx: &SageCtx, mut dz: Matrix) -> Matrix {
         self.act.backward_inplace(&mut dz, &ctx.out);
 
         let dw = ops::matmul_at_b(&ctx.cat, &dz).expect("sage dW");
@@ -79,8 +86,13 @@ impl SageLayer {
         {
             *g += d;
         }
+        dz
+    }
 
-        let d_cat = ops::matmul_a_bt(&dz, &self.weight.value).expect("sage d_cat");
+    /// Input-gradient tail of [`SageLayer::backward`]: `d_h_src` from the
+    /// masked output gradient.
+    pub(crate) fn backward_input(&self, block: &Block, dz: &Matrix) -> Matrix {
+        let d_cat = ops::matmul_a_bt(dz, &self.weight.value).expect("sage d_cat");
         let (d_self, d_nbr) = ops::hsplit(&d_cat, self.in_dim);
 
         let mut d_h_src = Matrix::zeros(block.num_src(), self.in_dim);

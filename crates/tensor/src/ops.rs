@@ -69,6 +69,14 @@ pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Result<Matrix> {
 /// `C = A * B^T` (`m x k` times `n x k`^T -> `m x n`).
 ///
 /// Used by input gradients: `dH = dOut * W^T`.
+///
+/// `B` is transposed once, then each output row is built as AXPYs over the
+/// rows of `B^T` in increasing `p`, so every entry is summed in the same
+/// order as the dot product `Σ_p a[i][p] * b[j][p]` starting from `0.0`:
+/// the result is bit-identical to that loop, yet the inner loop runs over
+/// contiguous output columns and vectorizes. Unlike [`matmul`] no zero entry
+/// of `A` is skipped, so a NaN or infinity in `B` reaches every output it
+/// touches, exactly as in the dot product.
 pub fn matmul_a_bt(a: &Matrix, b: &Matrix) -> Result<Matrix> {
     if a.cols() != b.cols() {
         return Err(crate::TensorError::ShapeMismatch {
@@ -77,19 +85,14 @@ pub fn matmul_a_bt(a: &Matrix, b: &Matrix) -> Result<Matrix> {
             op: "matmul_a_bt",
         });
     }
-    let m = a.rows();
-    let n = b.rows();
-    let mut c = Matrix::zeros(m, n);
-    for i in 0..m {
-        let a_row = a.row(i);
+    let bt = b.transpose();
+    let mut c = Matrix::zeros(a.rows(), b.rows());
+    for i in 0..a.rows() {
         let c_row = c.row_mut(i);
-        for (j, c_v) in c_row.iter_mut().enumerate() {
-            let b_row = b.row(j);
-            let mut acc = 0.0;
-            for (&x, &y) in a_row.iter().zip(b_row) {
-                acc += x * y;
+        for (p, &a_ip) in a.row(i).iter().enumerate() {
+            for (c_v, &b_v) in c_row.iter_mut().zip(bt.row(p)) {
+                *c_v += a_ip * b_v;
             }
-            *c_v = acc;
         }
     }
     Ok(c)
@@ -235,9 +238,74 @@ mod tests {
         let c = Matrix::from_fn(5, 3, |r, c| (r * 2 + c) as f32 - 3.0);
         let abt = matmul_a_bt(&a, &c).unwrap();
         let expect = matmul(&a, &c.transpose()).unwrap();
-        for (x, y) in abt.as_slice().iter().zip(expect.as_slice()) {
-            assert!((x - y).abs() < 1e-5);
+        assert_eq!(abt, expect);
+    }
+
+    /// The dot-product form `matmul_a_bt` had before it became AXPYs over
+    /// `B^T`; kept only as the bit-exact reference for the kernel.
+    fn matmul_a_bt_dot_reference(a: &Matrix, b: &Matrix) -> Matrix {
+        Matrix::from_fn(a.rows(), b.rows(), |i, j| {
+            let mut acc = 0.0;
+            for (&x, &y) in a.row(i).iter().zip(b.row(j)) {
+                acc += x * y;
+            }
+            acc
+        })
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn matmul_a_bt_is_bit_identical_to_the_dot_product_loop() {
+        let mut rng = crate::Rng::new(0x5eed);
+        for case in 0..200 {
+            // Widths past a few SIMD lanes, so vector bodies and tails both run.
+            let m = 1 + rng.below(9);
+            let k = rng.below(40);
+            let n = 1 + rng.below(40);
+            // Mixed magnitudes so the summation order shows in the low bits.
+            let mut a = Matrix::from_fn(m, k, |_, _| {
+                rng.normal() * 10f32.powi(rng.below(7) as i32 - 3)
+            });
+            let b = Matrix::from_fn(n, k, |_, _| match rng.below(8) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.normal() * 10f32.powi(rng.below(7) as i32 - 3),
+            });
+            // ReLU-masked gradients: whole zero rows and scattered ±0.0.
+            for i in 0..m {
+                let zero_row = rng.bernoulli(0.3);
+                for x in a.row_mut(i) {
+                    if zero_row || rng.bernoulli(0.2) {
+                        *x = if rng.bernoulli(0.5) { 0.0 } else { -0.0 };
+                    }
+                }
+            }
+            let got = matmul_a_bt(&a, &b).unwrap();
+            let want = matmul_a_bt_dot_reference(&a, &b);
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "case {case}: {m}x{k} * ({n}x{k})^T"
+            );
         }
+    }
+
+    #[test]
+    fn matmul_a_bt_propagates_nan_and_inf_through_zero_entries() {
+        // A zero in `A` must still multiply a non-finite `B` entry: 0 * inf
+        // and 0 * NaN are NaN, as in the dot product.
+        let a = m(2, 2, &[0.0, 1.0, -0.0, 0.0]);
+        let b = m(
+            3,
+            2,
+            &[f32::INFINITY, 2.0, f32::NAN, 1.0, 3.0, f32::NEG_INFINITY],
+        );
+        let got = matmul_a_bt(&a, &b).unwrap();
+        assert_eq!(bits(&got), bits(&matmul_a_bt_dot_reference(&a, &b)));
+        assert!(got.as_slice().iter().all(|x| x.is_nan() || x.is_infinite()));
     }
 
     #[test]

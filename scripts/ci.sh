@@ -7,15 +7,23 @@ cd "$(dirname "$0")/.."
 cargo fmt --check
 
 # The repo must stay fully offline-buildable: every crate in the lockfile
-# is a workspace member, never a registry (or git) download.
-if grep -Eq 'source = "(registry|git)' Cargo.lock; then
-    echo "ci: Cargo.lock contains non-workspace dependencies:" >&2
-    grep -B2 'source = ' Cargo.lock >&2
-    exit 1
-fi
+# is a workspace member (or, for the benchmark package, a path dependency),
+# never a registry (or git) download.
+for lock in Cargo.lock perfbench/Cargo.lock; do
+    if grep -Eq 'source = "(registry|git)' "$lock"; then
+        echo "ci: $lock contains non-workspace dependencies:" >&2
+        grep -B2 'source = ' "$lock" >&2
+        exit 1
+    fi
+done
 
 cargo build --release --workspace
 cargo test -q --workspace
+
+# The benchmark (perfbench/, a package of its own over the library crates)
+# must build and pass its own tests, so a library API change that breaks it
+# fails here rather than when the benchmark runs.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
 
 # Property and observability-invariant suites again at a higher case count
 # (FGNN_PROP_CASES overrides the in-tree default of 64), and the committed
