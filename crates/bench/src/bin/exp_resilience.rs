@@ -18,7 +18,7 @@ use fgnn_memsim::fault::{BreakerPolicy, FaultPlan, RetryPolicy};
 use fgnn_memsim::presets::Machine;
 use fgnn_nn::model::Arch;
 use fgnn_nn::Adam;
-use freshgnn::resilience::Supervisor;
+use freshgnn::resilience::{Recoverable, Supervisor};
 use freshgnn::{FreshGnnConfig, Trainer};
 
 fn main() {

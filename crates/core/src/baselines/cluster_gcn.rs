@@ -7,9 +7,10 @@
 //! every node of the subgraph is present at every layer.
 
 use crate::baselines::sampling::full_subgraph_minibatch;
-use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::checkpoint::{Checkpoint, CheckpointError, TrainerState};
 use crate::obs::Obs;
 use crate::pipeline::{BatchOutput, Engine, EpochStats, EvalHarness, PipelineCtx, StallPolicy};
+use crate::trainer::layer_dims;
 use fgnn_graph::partition::{induced_subgraph, partition_ldg};
 use fgnn_graph::{Dataset, NodeId};
 use fgnn_memsim::fault::{FaultPlan, FaultState, RetryPolicy};
@@ -61,12 +62,7 @@ impl ClusterGcnTrainer {
         seed: u64,
     ) -> Self {
         let mut rng = Rng::new(seed);
-        let mut dims = Vec::with_capacity(num_layers + 1);
-        dims.push(ds.spec.feature_dim);
-        for _ in 1..num_layers {
-            dims.push(hidden);
-        }
-        dims.push(ds.spec.num_classes);
+        let dims = layer_dims(ds.spec.feature_dim, hidden, num_layers, ds.spec.num_classes);
         let model = Model::new(arch, &dims, &mut rng);
         let parts = partition_ldg(&ds.graph, num_parts, &mut rng);
         let clusters = parts
@@ -104,19 +100,7 @@ impl ClusterGcnTrainer {
     /// Capture the full trainable state. ClusterGCN keeps no history or
     /// cache, so a checkpoint is lossless.
     pub fn checkpoint(&mut self, opt: &dyn Optimizer) -> Checkpoint {
-        Checkpoint {
-            arch: self.model.arch,
-            dims: self.dims.clone(),
-            params: self.model.export_parameters(),
-            optimizer: opt.export_state(),
-            rng_state: self.rng.state(),
-            epoch: self.epoch,
-            iter: 0,
-            counters: self.counters.clone(),
-            static_resident: Vec::new(),
-            cache: None,
-            cache_degraded: false,
-        }
+        self.state().checkpoint(opt)
     }
 
     /// Restore from a checkpoint. Returns `Ok(false)`: nothing degrades —
@@ -126,31 +110,22 @@ impl ClusterGcnTrainer {
         ckpt: &Checkpoint,
         opt: &mut dyn Optimizer,
     ) -> Result<bool, CheckpointError> {
-        if ckpt.arch != self.model.arch {
-            return Err(CheckpointError::ShapeMismatch(format!(
-                "checkpoint arch {} vs trainer {}",
-                ckpt.arch, self.model.arch
-            )));
+        self.state().restore(ckpt, opt)
+    }
+
+    /// The checkpointed part of the trainer, split-borrowed.
+    fn state(&mut self) -> TrainerState<'_> {
+        TrainerState {
+            arch: self.model.arch,
+            dims: &self.dims,
+            params: self.model.params_mut(),
+            rng: &mut self.rng,
+            epoch: &mut self.epoch,
+            iter: None,
+            counters: &mut self.counters,
+            static_cache: None,
+            cache: None,
         }
-        if ckpt.dims != self.dims {
-            return Err(CheckpointError::ShapeMismatch(format!(
-                "checkpoint dims {:?} vs trainer {:?}",
-                ckpt.dims, self.dims
-            )));
-        }
-        if ckpt.params.len() != self.model.num_parameters() {
-            return Err(CheckpointError::ShapeMismatch(format!(
-                "checkpoint has {} parameters, model has {}",
-                ckpt.params.len(),
-                self.model.num_parameters()
-            )));
-        }
-        self.model.import_parameters(&ckpt.params);
-        opt.import_state(ckpt.optimizer.clone());
-        self.rng = Rng::from_state(ckpt.rng_state);
-        self.epoch = ckpt.epoch;
-        self.counters = ckpt.counters.clone();
-        Ok(false)
     }
 
     /// Train one epoch through the pipeline engine: shuffle clusters, merge

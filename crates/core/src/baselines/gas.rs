@@ -18,9 +18,10 @@
 //! (GraphFM-OB also corrects boundary estimates in-batch; we reproduce the
 //! momentum mechanism, which drives its accuracy behaviour at scale.)
 
-use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::checkpoint::{Checkpoint, CheckpointError, TrainerState};
 use crate::obs::Obs;
 use crate::pipeline::{BatchOutput, Engine, EpochStats, EvalHarness, PipelineCtx, StallPolicy};
+use crate::trainer::layer_dims;
 use fgnn_graph::partition::{partition_ldg, Partitioning};
 use fgnn_graph::{Block, Csr2, Dataset, NodeId};
 use fgnn_memsim::fault::{FaultPlan, FaultState, RetryPolicy};
@@ -92,12 +93,7 @@ impl GasTrainer {
         seed: u64,
     ) -> Self {
         let mut rng = Rng::new(seed);
-        let mut dims = Vec::with_capacity(num_layers + 1);
-        dims.push(ds.spec.feature_dim);
-        for _ in 1..num_layers {
-            dims.push(hidden);
-        }
-        dims.push(ds.spec.num_classes);
+        let dims = layer_dims(ds.spec.feature_dim, hidden, num_layers, ds.spec.num_classes);
         let model = Model::new(arch, &dims, &mut rng);
 
         let parts: Partitioning = partition_ldg(&ds.graph, cfg.num_parts, &mut rng);
@@ -154,19 +150,7 @@ impl GasTrainer {
     /// with zeroed histories and reports the degradation, mirroring the
     /// main trainer's cold-cache semantics.
     pub fn checkpoint(&mut self, opt: &dyn Optimizer) -> Checkpoint {
-        Checkpoint {
-            arch: self.model.arch,
-            dims: self.dims.clone(),
-            params: self.model.export_parameters(),
-            optimizer: opt.export_state(),
-            rng_state: self.rng.state(),
-            epoch: self.epoch,
-            iter: 0,
-            counters: self.counters.clone(),
-            static_resident: Vec::new(),
-            cache: None,
-            cache_degraded: false,
-        }
+        self.state().checkpoint(opt)
     }
 
     /// Restore from a checkpoint taken by an identically-configured GAS
@@ -177,34 +161,26 @@ impl GasTrainer {
         ckpt: &Checkpoint,
         opt: &mut dyn Optimizer,
     ) -> Result<bool, CheckpointError> {
-        if ckpt.arch != self.model.arch {
-            return Err(CheckpointError::ShapeMismatch(format!(
-                "checkpoint arch {} vs trainer {}",
-                ckpt.arch, self.model.arch
-            )));
-        }
-        if ckpt.dims != self.dims {
-            return Err(CheckpointError::ShapeMismatch(format!(
-                "checkpoint dims {:?} vs trainer {:?}",
-                ckpt.dims, self.dims
-            )));
-        }
-        if ckpt.params.len() != self.model.num_parameters() {
-            return Err(CheckpointError::ShapeMismatch(format!(
-                "checkpoint has {} parameters, model has {}",
-                ckpt.params.len(),
-                self.model.num_parameters()
-            )));
-        }
-        self.model.import_parameters(&ckpt.params);
-        opt.import_state(ckpt.optimizer.clone());
-        self.rng = Rng::from_state(ckpt.rng_state);
-        self.epoch = ckpt.epoch;
-        self.counters = ckpt.counters.clone();
+        self.state().restore(ckpt, opt)?;
         for h in &mut self.history {
             h.as_mut_slice().iter_mut().for_each(|x| *x = 0.0);
         }
         Ok(true)
+    }
+
+    /// The checkpointed part of the trainer, split-borrowed.
+    fn state(&mut self) -> TrainerState<'_> {
+        TrainerState {
+            arch: self.model.arch,
+            dims: &self.dims,
+            params: self.model.params_mut(),
+            rng: &mut self.rng,
+            epoch: &mut self.epoch,
+            iter: None,
+            counters: &mut self.counters,
+            static_cache: None,
+            cache: None,
+        }
     }
 
     /// The paper's OOM criterion: GAS must hold `O(Lnd)` history. Returns

@@ -5,9 +5,10 @@
 //! biased/sparser aggregations — the accuracy-vs-footprint tradeoff the
 //! paper contrasts FreshGNN against (see `exp_ext_sampling_families`).
 
-use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::checkpoint::{Checkpoint, CheckpointError, TrainerState};
 use crate::obs::Obs;
 use crate::pipeline::{BatchOutput, Engine, EpochStats, EvalHarness, PipelineCtx, StallPolicy};
+use crate::trainer::layer_dims;
 use fgnn_graph::block::{Block, MiniBatch};
 use fgnn_graph::partition::induced_subgraph;
 use fgnn_graph::sample::{layer_wise_sample, random_walk_nodes, split_batches};
@@ -78,12 +79,7 @@ impl SamplingBaselineTrainer {
         seed: u64,
     ) -> Self {
         let mut rng = Rng::new(seed);
-        let mut dims = Vec::with_capacity(num_layers + 1);
-        dims.push(ds.spec.feature_dim);
-        for _ in 1..num_layers {
-            dims.push(hidden);
-        }
-        dims.push(ds.spec.num_classes);
+        let dims = layer_dims(ds.spec.feature_dim, hidden, num_layers, ds.spec.num_classes);
         if let SamplingKind::LayerWise { layer_sizes } = &kind {
             assert_eq!(layer_sizes.len(), num_layers, "one budget per layer");
         }
@@ -116,19 +112,7 @@ impl SamplingBaselineTrainer {
 
     /// Capture the full trainable state (lossless: no cross-epoch caches).
     pub fn checkpoint(&mut self, opt: &dyn Optimizer) -> Checkpoint {
-        Checkpoint {
-            arch: self.model.arch,
-            dims: self.dims.clone(),
-            params: self.model.export_parameters(),
-            optimizer: opt.export_state(),
-            rng_state: self.rng.state(),
-            epoch: self.epoch,
-            iter: 0,
-            counters: self.counters.clone(),
-            static_resident: Vec::new(),
-            cache: None,
-            cache_degraded: false,
-        }
+        self.state().checkpoint(opt)
     }
 
     /// Restore from a checkpoint. Returns `Ok(false)`: nothing degrades.
@@ -137,31 +121,22 @@ impl SamplingBaselineTrainer {
         ckpt: &Checkpoint,
         opt: &mut dyn Optimizer,
     ) -> Result<bool, CheckpointError> {
-        if ckpt.arch != self.model.arch {
-            return Err(CheckpointError::ShapeMismatch(format!(
-                "checkpoint arch {} vs trainer {}",
-                ckpt.arch, self.model.arch
-            )));
+        self.state().restore(ckpt, opt)
+    }
+
+    /// The checkpointed part of the trainer, split-borrowed.
+    fn state(&mut self) -> TrainerState<'_> {
+        TrainerState {
+            arch: self.model.arch,
+            dims: &self.dims,
+            params: self.model.params_mut(),
+            rng: &mut self.rng,
+            epoch: &mut self.epoch,
+            iter: None,
+            counters: &mut self.counters,
+            static_cache: None,
+            cache: None,
         }
-        if ckpt.dims != self.dims {
-            return Err(CheckpointError::ShapeMismatch(format!(
-                "checkpoint dims {:?} vs trainer {:?}",
-                ckpt.dims, self.dims
-            )));
-        }
-        if ckpt.params.len() != self.model.num_parameters() {
-            return Err(CheckpointError::ShapeMismatch(format!(
-                "checkpoint has {} parameters, model has {}",
-                ckpt.params.len(),
-                self.model.num_parameters()
-            )));
-        }
-        self.model.import_parameters(&ckpt.params);
-        opt.import_state(ckpt.optimizer.clone());
-        self.rng = Rng::from_state(ckpt.rng_state);
-        self.epoch = ckpt.epoch;
-        self.counters = ckpt.counters.clone();
-        Ok(false)
     }
 
     /// Train one epoch through the pipeline engine. Layer-wise iterates

@@ -249,6 +249,21 @@ impl RingCache {
     /// Grows the table when the ring header catches up with entries still
     /// inside the staleness window.
     pub fn admit(&mut self, node: NodeId, row: &[f32], now: u32, t_stale: u32) {
+        self.admit_with(node, row, now, Some(t_stale));
+    }
+
+    /// Admit (or refresh) `node` with `row` at `now` **without ever
+    /// growing**: the header row is overwritten even when its occupant is
+    /// still fresh. The serving engine uses this so cache capacity stays a
+    /// real experiment knob under any admission burst; training keeps the
+    /// §4.2 grow-on-demand semantics of [`RingCache::admit`].
+    pub fn admit_fixed(&mut self, node: NodeId, row: &[f32], now: u32) {
+        self.admit_with(node, row, now, None);
+    }
+
+    /// The admission both forms share; `grow_within = Some(t_stale)` grows
+    /// the table instead of overwriting a header entry that is still fresh.
+    fn admit_with(&mut self, node: NodeId, row: &[f32], now: u32, grow_within: Option<u32>) {
         debug_assert_eq!(row.len(), self.dim);
         // Refresh in place if already cached.
         let existing = self.slot_of[node as usize];
@@ -261,44 +276,16 @@ impl RingCache {
 
         // Grow if the header points at a still-fresh entry (corner case in
         // §4.2; "reallocate on-demand").
-        let occupant = self.node_of[self.head];
-        if occupant != INVALID
-            && self.slot_of[occupant as usize] == self.head as u32
-            && now.saturating_sub(self.stamp[self.head]) <= t_stale
-        {
-            self.grow();
-        }
-
-        let h = self.head;
-        let occupant = self.node_of[h];
-        if occupant != INVALID {
-            if self.slot_of[occupant as usize] == h as u32 {
-                self.slot_of[occupant as usize] = INVALID;
+        if let Some(t_stale) = grow_within {
+            let occupant = self.node_of[self.head];
+            if occupant != INVALID
+                && self.slot_of[occupant as usize] == self.head as u32
+                && now.saturating_sub(self.stamp[self.head]) <= t_stale
+            {
+                self.grow();
             }
-            self.overwrites += 1;
         }
-        self.reset_history(h);
-        self.table.set_row(h, row);
-        self.node_of[h] = node;
-        self.stamp[h] = now;
-        self.slot_of[node as usize] = h as u32;
-        self.head = (h + 1) % self.capacity();
-    }
 
-    /// Admit (or refresh) `node` with `row` at `now` **without ever
-    /// growing**: the header row is overwritten even when its occupant is
-    /// still fresh. The serving engine uses this so cache capacity stays a
-    /// real experiment knob under any admission burst; training keeps the
-    /// §4.2 grow-on-demand semantics of [`RingCache::admit`].
-    pub fn admit_fixed(&mut self, node: NodeId, row: &[f32], now: u32) {
-        debug_assert_eq!(row.len(), self.dim);
-        let existing = self.slot_of[node as usize];
-        if existing != INVALID && self.node_of[existing as usize] == node {
-            self.record_refresh_history(existing as usize, row, now);
-            self.table.set_row(existing as usize, row);
-            self.stamp[existing as usize] = now;
-            return;
-        }
         let h = self.head;
         let occupant = self.node_of[h];
         if occupant != INVALID {

@@ -1,4 +1,4 @@
-//! Deterministic checkpoint/resume for the trainer.
+//! Deterministic checkpoint/resume for every trainer.
 //!
 //! Long training runs must survive preemption: the checkpoint captures
 //! *everything* that feeds the training stream — model parameters,
@@ -28,12 +28,17 @@
 //! [`Checkpoint::cache`]` = None` and `cache_degraded = true`, and the
 //! trainer resumes with a cold cache (see DESIGN.md "Fault model &
 //! recovery").
+//!
+//! Capture and restore, with every shape check, exist once:
+//! `TrainerState` is the split borrow each trainer hands over, and a
+//! restore validates the whole checkpoint — optimizer segment included —
+//! before it writes any trainer field.
 
-use crate::cache::{CacheSnapshot, RingSnapshot};
+use crate::cache::{CacheSnapshot, HistoricalCache, RingSnapshot, StaticFeatureCache};
 use fgnn_memsim::TrafficCounters;
 use fgnn_nn::model::Arch;
-use fgnn_nn::OptimizerState;
-use fgnn_tensor::Matrix;
+use fgnn_nn::{Optimizer, OptimizerState, Param};
+use fgnn_tensor::{Matrix, Rng};
 use std::fmt;
 use std::path::Path;
 
@@ -188,6 +193,128 @@ impl Checkpoint {
     }
 }
 
+/// The checkpointed state of one trainer, split-borrowed from it. Trainers
+/// differ only in which optional pieces they own.
+pub(crate) struct TrainerState<'a> {
+    pub arch: Arch,
+    pub dims: &'a [usize],
+    /// Model parameters in [`fgnn_nn::Model::params_mut`] order.
+    pub params: Vec<&'a mut Param>,
+    pub rng: &'a mut Rng,
+    pub epoch: &'a mut u32,
+    /// Iteration cursor; `None` for trainers that count only epochs (their
+    /// checkpoints carry 0).
+    pub iter: Option<&'a mut u32>,
+    pub counters: &'a mut TrafficCounters,
+    pub static_cache: Option<&'a mut StaticFeatureCache>,
+    pub cache: Option<&'a mut HistoricalCache>,
+}
+
+impl TrainerState<'_> {
+    /// Capture the state, plus `opt`'s moments, as a [`Checkpoint`].
+    pub fn checkpoint(self, opt: &dyn Optimizer) -> Checkpoint {
+        // Sized up front: a doubling-grown buffer can cross the
+        // allocator's mmap threshold and move the process's peak RSS.
+        let mut params = Vec::with_capacity(self.params.iter().map(|p| p.len()).sum());
+        for p in &self.params {
+            params.extend_from_slice(p.value.as_slice());
+        }
+        Checkpoint {
+            arch: self.arch,
+            dims: self.dims.to_vec(),
+            params,
+            optimizer: opt.export_state(),
+            rng_state: self.rng.state(),
+            epoch: *self.epoch,
+            iter: self.iter.map_or(0, |i| *i),
+            counters: self.counters.clone(),
+            static_resident: self.static_cache.map_or_else(Vec::new, |c| c.export()),
+            cache: self.cache.map(|c| c.snapshot()),
+            cache_degraded: false,
+        }
+    }
+
+    /// Restore `ckpt` into the state and `opt`. Every check runs before
+    /// anything is written, so a rejected checkpoint leaves trainer and
+    /// optimizer untouched. Returns whether the historical cache resumed
+    /// cold (segment missing, corrupt or incompatible); a trainer without
+    /// one never degrades.
+    pub fn restore(
+        self,
+        ckpt: &Checkpoint,
+        opt: &mut dyn Optimizer,
+    ) -> Result<bool, CheckpointError> {
+        let mismatch = |m: String| Err(CheckpointError::ShapeMismatch(m));
+        let num_params: usize = self.params.iter().map(|p| p.len()).sum();
+        if ckpt.arch != self.arch {
+            return mismatch(format!(
+                "checkpoint arch {} vs trainer {}",
+                ckpt.arch, self.arch
+            ));
+        }
+        if ckpt.dims != self.dims {
+            return mismatch(format!(
+                "checkpoint dims {:?} vs trainer {:?}",
+                ckpt.dims, self.dims
+            ));
+        }
+        if ckpt.params.len() != num_params {
+            return mismatch(format!(
+                "checkpoint has {} parameters, model has {num_params}",
+                ckpt.params.len()
+            ));
+        }
+        if let Some(sc) = &self.static_cache {
+            if ckpt.static_resident.len() != sc.num_nodes() {
+                return mismatch(format!(
+                    "checkpoint static cache covers {} nodes, dataset has {}",
+                    ckpt.static_resident.len(),
+                    sc.num_nodes()
+                ));
+            }
+        }
+        // The optimizer validates before it mutates, and nothing after it
+        // can fail.
+        if let Err(e) = opt.import_state(ckpt.optimizer.clone()) {
+            return mismatch(format!("checkpoint optimizer state: {e}"));
+        }
+        let mut flat = &ckpt.params[..];
+        for p in self.params {
+            let (head, rest) = flat.split_at(p.len());
+            p.value.as_mut_slice().copy_from_slice(head);
+            flat = rest;
+        }
+        *self.rng = Rng::from_state(ckpt.rng_state);
+        *self.epoch = ckpt.epoch;
+        if let Some(iter) = self.iter {
+            *iter = ckpt.iter;
+        }
+        *self.counters = ckpt.counters.clone();
+        if let Some(sc) = self.static_cache {
+            *sc = StaticFeatureCache::import(ckpt.static_resident.clone());
+        }
+        let Some(cache) = self.cache else {
+            return Ok(false);
+        };
+        let restored = ckpt
+            .cache
+            .as_ref()
+            .is_some_and(|snapshot| cache.restore(snapshot.clone()).is_ok());
+        if !restored {
+            // Graceful degradation: resume correct but cold.
+            cache.clear();
+            return Ok(true);
+        }
+        // The snapshot may have been taken from a cache that ran past the
+        // checkpoint's iteration cursor (rollback, or a grafted segment).
+        // Future-stamped entries would look forever fresh (`age = now -
+        // stamp` saturates at 0) and silently violate the t_stale bound —
+        // evict them now.
+        cache.evict_newer_than(ckpt.iter);
+        Ok(ckpt.cache_degraded)
+    }
+}
+
 /// FNV-1a 64-bit.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -307,23 +434,21 @@ impl<'a> Reader<'a> {
         }
         Ok(n)
     }
-    fn f32_slice(&mut self) -> Result<Vec<f32>, CheckpointError> {
+    /// A length-prefixed run of 4-byte little-endian words.
+    fn words<T>(&mut self, decode: fn([u8; 4]) -> T) -> Result<Vec<T>, CheckpointError> {
         let n = self.u64()?;
         let n = self.checked_len(n, 4)?;
         let raw = self.take(n * 4)?;
         Ok(raw
             .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
+            .map(|c| decode(c.try_into().unwrap()))
             .collect())
     }
+    fn f32_slice(&mut self) -> Result<Vec<f32>, CheckpointError> {
+        self.words(f32::from_le_bytes)
+    }
     fn u32_slice(&mut self) -> Result<Vec<u32>, CheckpointError> {
-        let n = self.u64()?;
-        let n = self.checked_len(n, 4)?;
-        let raw = self.take(n * 4)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+        self.words(u32::from_le_bytes)
     }
     fn matrix(&mut self) -> Result<Matrix, CheckpointError> {
         let rows = self.u64()?;

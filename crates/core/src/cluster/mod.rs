@@ -19,7 +19,7 @@
 //! (degraded peer serving under the `t_stale` budget) are modelled.
 //! Recovery restores the host from its epoch-start checkpoint — evicting
 //! cache entries newer than the recovery point, exactly the rollback
-//! semantics of [`crate::Trainer::restore`] — and replays, so the
+//! semantics of [`crate::Recoverable::restore`] — and replays, so the
 //! committed training quantities of any crash/restart schedule match the
 //! fault-free run bit for bit while the NIC/retry/recovery ledger records
 //! what the faults cost.

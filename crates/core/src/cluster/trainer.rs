@@ -25,7 +25,9 @@ use super::ClusterConfig;
 use crate::checkpoint::Checkpoint;
 use crate::error::FgnnError;
 use crate::obs::{MetricClass, Obs};
-use crate::resilience::{GuardConfig, HealthState, NumericFault, Supervisor, SupervisorConfig};
+use crate::resilience::{
+    GuardConfig, HealthState, NumericFault, Recoverable, Supervisor, SupervisorConfig,
+};
 use crate::trainer::Trainer;
 use fgnn_graph::datasets::Dataset;
 use fgnn_graph::partition::{induced_subgraph, partition_ldg};
@@ -84,6 +86,8 @@ struct HostShard {
     global_ids: Vec<NodeId>,
     trainer: Trainer,
     opt: Adam,
+    /// Health supervisor; its baseline is the epoch-start checkpoint, the
+    /// restore target for crash and NaN recovery.
     sup: Supervisor,
     /// Current epoch's batch schedule (local IDs).
     batches: Vec<Vec<NodeId>>,
@@ -99,13 +103,21 @@ struct HostShard {
     alive: bool,
     /// This host's NIC health (Down exactly while crashed).
     nic: LinkHealth,
-    /// Epoch-start checkpoint; restore target for crash and NaN recovery.
-    baseline: Option<Checkpoint>,
-    /// Round the baseline was taken — staleness zero-point for peers
-    /// serving this host's shard while it is dead.
+    /// Round the supervisor's baseline was taken — staleness zero-point for
+    /// peers serving this host's shard while it is dead.
     baseline_round: u64,
     /// Rounds whose observed loss is forced to NaN (chaos hook).
     nan_rounds: BTreeSet<u64>,
+}
+
+impl HostShard {
+    /// Plan the trainer's next epoch schedule and restart the cursor and
+    /// the loss record.
+    fn replan(&mut self) {
+        self.batches = self.trainer.plan_epoch_batches(&self.ds);
+        self.cursor = 0;
+        self.losses.clear();
+    }
 }
 
 /// Outcome of a whole cluster run ([`ClusterTrainer::train`]).
@@ -156,7 +168,6 @@ pub struct ClusterTrainer {
     detector: FailureDetector,
     plan: ClusterFaultPlan,
     next_event: usize,
-    retry: RetryPolicy,
     engine: RoundEngine,
     round: u64,
     comms: TrafficCounters,
@@ -238,7 +249,6 @@ impl ClusterTrainer {
                 epoch_id: 0,
                 alive: true,
                 nic: LinkHealth::Up,
-                baseline: None,
                 baseline_round: 0,
                 nan_rounds: BTreeSet::new(),
             });
@@ -259,7 +269,6 @@ impl ClusterTrainer {
             detector,
             plan: ClusterFaultPlan::none(),
             next_event: 0,
-            retry: RetryPolicy::default(),
             engine: RoundEngine::Sync,
             round: 0,
             comms: TrafficCounters::new(),
@@ -304,11 +313,6 @@ impl ClusterTrainer {
         self.engine = engine;
     }
 
-    /// Override the retry policy used against crashed-but-undetected hosts.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-    }
-
     /// Borrow host `h`'s trainer (tests compare against single-host runs).
     pub fn trainer(&self, h: usize) -> &Trainer {
         &self.shards[h].trainer
@@ -326,11 +330,6 @@ impl ClusterTrainer {
         s.trainer.checkpoint(&s.opt)
     }
 
-    /// Host `h`'s shard dataset.
-    pub fn shard_dataset(&self, h: usize) -> &Dataset {
-        &self.shards[h].ds
-    }
-
     /// The detector's current membership view.
     pub fn membership(&self) -> &MembershipView {
         self.detector.view()
@@ -339,11 +338,6 @@ impl ClusterTrainer {
     /// Every membership transition so far, in round order.
     pub fn membership_log(&self) -> &[MembershipTransition] {
         self.detector.log()
-    }
-
-    /// The remote-read staleness ledger.
-    pub fn ledger(&self) -> &StalenessLedger {
-        &self.ledger
     }
 
     /// The cluster comms ledger (NIC traffic, retries).
@@ -486,32 +480,16 @@ impl ClusterTrainer {
         Ok(())
     }
 
-    /// Shard recovery: restore the epoch-start baseline (rewinds RNG /
+    /// Shard recovery: rewind to the epoch-start baseline (restores RNG /
     /// model / optimizer, evicts cache entries newer than the recovery
     /// point) and restart the epoch plan from batch 0. Re-executed rounds
     /// re-charge comms — recovery cost is visible in the NIC ledger while
     /// the committed training quantities stay fault-free-identical.
     fn restart_host(&mut self, h: usize) -> Result<(), FgnnError> {
         let s = &mut self.shards[h];
-        let baseline = s
-            .baseline
-            .clone()
-            .expect("host restarted before its first epoch began");
-        s.trainer
-            .restore(&baseline, &mut s.opt)
-            .map_err(FgnnError::Checkpoint)?;
-        s.batches = s.trainer.plan_epoch_batches(&s.ds);
-        s.cursor = 0;
-        s.losses.clear();
-        s.sup.guard.reset();
-        let (iter, epoch) = (s.trainer.iterations(), s.epoch_id);
-        s.sup.transition(
-            HealthState::Recovering,
-            iter,
-            epoch,
-            "host-restart",
-            &mut s.trainer.obs,
-        );
+        s.sup
+            .rewind(&mut s.trainer, &mut s.opt, Some(s.epoch_id), "host-restart")?;
+        s.replan();
         Ok(())
     }
 
@@ -584,12 +562,9 @@ impl ClusterTrainer {
         let round = self.round;
         let s = &mut self.shards[h];
         s.epoch_id += 1;
-        let ckpt = s.trainer.checkpoint(&s.opt);
-        s.baseline = Some(ckpt);
+        s.sup.set_baseline(s.trainer.checkpoint(&s.opt));
         s.baseline_round = round;
-        s.batches = s.trainer.plan_epoch_batches(&s.ds);
-        s.cursor = 0;
-        s.losses.clear();
+        s.replan();
     }
 
     /// NaN-guard recovery: roll back to the epoch baseline and replay the
@@ -598,43 +573,22 @@ impl ClusterTrainer {
     /// so only training compute is redone.
     fn numeric_rollback(&mut self, h: usize, fault: NumericFault) -> Result<(), FgnnError> {
         let round = self.round;
-        {
-            let s = &mut self.shards[h];
-            let (iter, epoch) = (s.trainer.iterations(), s.epoch_id);
-            s.sup.transition(
-                HealthState::Degraded,
-                iter,
-                epoch,
-                fault.cause(),
-                &mut s.trainer.obs,
-            );
-            if !s.sup.can_roll_back() {
-                return Err(FgnnError::Numeric(format!(
-                    "host {h} exhausted its rollback budget at round {round}: {}",
-                    fault.cause()
-                )));
-            }
-            let baseline = s
-                .baseline
-                .clone()
-                .expect("numeric fault before the first epoch began");
-            s.trainer
-                .restore(&baseline, &mut s.opt)
-                .map_err(FgnnError::Checkpoint)?;
-            s.sup.record_rollback(&mut s.trainer.obs);
-            s.batches = s.trainer.plan_epoch_batches(&s.ds);
-            s.losses.clear();
-            s.sup.guard.reset();
-            let iter = s.trainer.iterations();
-            s.sup.transition(
-                HealthState::Recovering,
-                iter,
-                epoch,
-                "numeric-rollback",
-                &mut s.trainer.obs,
-            );
+        let s = &mut self.shards[h];
+        let epoch = Some(s.epoch_id);
+        if !s.sup.roll_back(
+            &mut s.trainer,
+            &mut s.opt,
+            &fault,
+            epoch,
+            "numeric-rollback",
+        )? {
+            return Err(FgnnError::Numeric(format!(
+                "host {h} exhausted its rollback budget at round {round}: {}",
+                fault.cause()
+            )));
         }
-        let replay_through = self.shards[h].cursor;
+        let replay_through = s.cursor;
+        s.replan();
         for i in 0..=replay_through {
             let loss = self.run_host_batch(h, i)?;
             self.shards[h].losses.push(loss);
@@ -721,11 +675,12 @@ impl ClusterTrainer {
             // Crashed but not yet declared: burn the retry ladder first.
             // Latency + exponential backoff per attempt, no jitter — the
             // ladder must replay bit-identically.
-            let attempts = 1 + self.retry.max_retries;
+            let retry = RetryPolicy::default();
+            let attempts = 1 + retry.max_retries;
             let mut waste = 0.0;
             for k in 0..attempts {
-                waste += self.topo.nic.latency
-                    + self.retry.base_backoff * self.retry.multiplier.powi(k as i32);
+                waste +=
+                    self.topo.nic.latency + retry.base_backoff * retry.multiplier.powi(k as i32);
             }
             self.comms.retries += attempts as u64;
             self.comms.retry_seconds += waste;
@@ -753,39 +708,29 @@ impl ClusterTrainer {
                 ))
             })?;
         let staleness = self.round.saturating_sub(self.shards[dst].baseline_round);
-        let reader_nic = self.shards[h].nic;
-        if self.ledger.budget > 0 && staleness <= self.ledger.budget {
+        let (bytes, penalty) = if self.ledger.budget > 0 && staleness <= self.ledger.budget {
             // Stale-within-budget: embeddings as of the dead host's
             // baseline. t_stale still bounds what training consumes.
             self.ledger.degraded_reads += t.messages;
             self.ledger.max_staleness = self.ledger.max_staleness.max(staleness);
-            if replica != h {
-                let health = combine_health(reader_nic, self.shards[replica].nic);
-                let secs = self
-                    .topo
-                    .one_sided_read_seconds(t.bytes, health)
-                    .expect("live replica's NIC cannot be Down");
-                self.comms.nic_bytes += t.bytes;
-                self.comms.nic_seconds += secs;
-                self.comms.num_transfers += 1;
-            }
+            (t.bytes, 1.0)
         } else {
             // Budget exceeded (or cache disabled): re-fetch raw features
             // at the fallback penalty. Staleness served is zero, so the
             // t_stale invariant holds by construction.
-            let raw_bytes = t.messages * self.full.spec.feature_row_bytes() as u64;
             self.ledger.fallback_reads += t.messages;
-            if replica != h {
-                let health = combine_health(reader_nic, self.shards[replica].nic);
-                let secs = self
-                    .topo
-                    .one_sided_read_seconds(raw_bytes, health)
-                    .expect("live replica's NIC cannot be Down")
-                    * FALLBACK_PENALTY;
-                self.comms.nic_bytes += raw_bytes;
-                self.comms.nic_seconds += secs;
-                self.comms.num_transfers += 1;
-            }
+            let raw_bytes = t.messages * self.full.spec.feature_row_bytes() as u64;
+            (raw_bytes, FALLBACK_PENALTY)
+        };
+        if replica != h {
+            let health = combine_health(self.shards[h].nic, self.shards[replica].nic);
+            let secs = self
+                .topo
+                .one_sided_read_seconds(bytes, health)
+                .expect("live replica's NIC cannot be Down");
+            self.comms.nic_bytes += bytes;
+            self.comms.nic_seconds += secs * penalty;
+            self.comms.num_transfers += 1;
         }
         Ok(())
     }

@@ -14,13 +14,16 @@
 //! needs the target type, where gradient feedback exists every iteration.)
 
 use crate::cache::{CachePolicy, HistoricalCache, PolicyInput};
-use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::checkpoint::{Checkpoint, CheckpointError, TrainerState};
 use crate::config::FreshGnnConfig;
 use crate::obs::Obs;
-use crate::pipeline::{BatchOutput, Engine, EpochStats, EvalHarness, PipelineCtx, StallPolicy};
-use crate::resilience::{HealthState, NumericFault, NumericGuard, Supervisor};
+use crate::pipeline::{
+    BatchOutput, Engine, EngineState, EpochStats, EvalHarness, PipelineCtx, StallPolicy,
+};
+use crate::resilience::{NumericFault, NumericGuard, Recoverable};
 use crate::runtime::RuntimeConfig;
 use crate::sampler::SampleError;
+use crate::trainer::layer_dims;
 use fgnn_graph::hetero::{HeteroDataset, HeteroMiniBatch, HeteroSampler};
 use fgnn_graph::sample::split_batches;
 use fgnn_graph::NodeId;
@@ -87,14 +90,8 @@ impl HeteroTrainer {
     ) -> Self {
         cfg.validate().expect("invalid config");
         let mut rng = Rng::new(seed);
-        let num_layers = cfg.num_layers();
         let in_dim = ds.features[ds.target_type].cols();
-        let mut dims = Vec::with_capacity(num_layers + 1);
-        dims.push(in_dim);
-        for _ in 1..num_layers {
-            dims.push(hidden);
-        }
-        dims.push(ds.num_classes);
+        let dims = layer_dims(in_dim, hidden, cfg.num_layers(), ds.num_classes);
         let model = RSageModel::new(&ds.graph, ds.target_type, &dims, &mut rng);
         let policy = cfg.build_policy();
         let mut cache = HistoricalCache::new(
@@ -154,106 +151,87 @@ impl HeteroTrainer {
         self.nan_iters.extend(iters);
     }
 
-    /// State of the interconnect circuit breaker, if one is armed.
-    pub fn breaker_state(&self) -> Option<BreakerState> {
-        self.faults.breaker_state()
-    }
-
-    /// Breaker lifetime statistics `(trips, fast_fails)`, if one is armed.
-    pub fn breaker_stats(&self) -> Option<(u64, u64)> {
-        self.faults
-            .breaker
-            .as_ref()
-            .map(|b| (b.trips, b.fast_fails))
-    }
-
-    /// Iterations executed so far.
-    pub fn iterations(&self) -> u32 {
-        self.iter
-    }
-
-    /// Completed epochs so far.
-    pub fn epochs(&self) -> u32 {
-        self.epoch
-    }
-
-    /// Capture the full trainable state, including the historical-cache
-    /// snapshot. The arch slot records [`Arch::Sage`]: R-GraphSAGE is the
-    /// relational form of SAGE and has no own `Arch` variant.
-    pub fn checkpoint(&mut self, opt: &dyn Optimizer) -> Checkpoint {
-        Checkpoint {
+    /// The checkpointed part of the trainer, split-borrowed.
+    fn state(&mut self) -> TrainerState<'_> {
+        TrainerState {
             arch: Arch::Sage,
-            dims: self.dims.clone(),
-            params: self.model.export_parameters(),
-            optimizer: opt.export_state(),
-            rng_state: self.rng.state(),
-            epoch: self.epoch,
-            iter: self.iter,
-            counters: self.counters.clone(),
-            static_resident: Vec::new(),
-            cache: Some(self.cache.snapshot()),
-            cache_degraded: false,
+            dims: &self.dims,
+            params: self.model.params_mut(),
+            rng: &mut self.rng,
+            epoch: &mut self.epoch,
+            iter: Some(&mut self.iter),
+            counters: &mut self.counters,
+            static_cache: None,
+            cache: Some(&mut self.cache),
         }
-    }
-
-    /// Restore from a checkpoint taken by an identically-configured hetero
-    /// trainer. Returns `Ok(degraded)` with the same semantics as
-    /// [`crate::Trainer::restore`]: a missing or incompatible cache segment
-    /// resumes cold rather than failing.
-    pub fn restore(
-        &mut self,
-        ckpt: &Checkpoint,
-        opt: &mut dyn Optimizer,
-    ) -> Result<bool, CheckpointError> {
-        if ckpt.arch != Arch::Sage {
-            return Err(CheckpointError::ShapeMismatch(format!(
-                "checkpoint arch {} is not an R-GraphSAGE checkpoint",
-                ckpt.arch
-            )));
-        }
-        if ckpt.dims != self.dims {
-            return Err(CheckpointError::ShapeMismatch(format!(
-                "checkpoint dims {:?} vs trainer {:?}",
-                ckpt.dims, self.dims
-            )));
-        }
-        if ckpt.params.len() != self.model.num_parameters() {
-            return Err(CheckpointError::ShapeMismatch(format!(
-                "checkpoint has {} parameters, model has {}",
-                ckpt.params.len(),
-                self.model.num_parameters()
-            )));
-        }
-        self.model.import_parameters(&ckpt.params);
-        opt.import_state(ckpt.optimizer.clone());
-        self.rng = Rng::from_state(ckpt.rng_state);
-        self.epoch = ckpt.epoch;
-        self.iter = ckpt.iter;
-        self.counters = ckpt.counters.clone();
-        let mut degraded = ckpt.cache_degraded;
-        let restored = match &ckpt.cache {
-            Some(snapshot) => self.cache.restore(snapshot.clone()).is_ok(),
-            None => false,
-        };
-        if !restored {
-            self.cache.clear();
-            degraded = true;
-        } else {
-            // Drop cache entries stamped after the restored iteration so
-            // the t_stale bound holds post-rollback (see
-            // `Trainer::restore`).
-            self.cache.evict_newer_than(ckpt.iter);
-        }
-        self.degraded_resume = degraded;
-        Ok(degraded)
     }
 
     /// Train one epoch over the target-type training nodes through the
     /// pipeline engine (full FreshGNN stage set, typed).
     pub fn train_epoch(&mut self, ds: &HeteroDataset, opt: &mut dyn Optimizer) -> EpochStats {
+        self.run_sync_epoch(ds, opt, None).0
+    }
+
+    /// The synchronous epoch driver. With a `guard`, every batch loss is
+    /// fed through it (after any [`HeteroTrainer::inject_nan_at`]
+    /// override); once it trips, the remaining batches are skipped and the
+    /// fault is returned with the partial stats.
+    fn run_sync_epoch(
+        &mut self,
+        ds: &HeteroDataset,
+        opt: &mut dyn Optimizer,
+        mut guard: Option<&mut NumericGuard>,
+    ) -> (EpochStats, Option<NumericFault>) {
         let mut shuffle_rng = self.rng.fork();
         let batches = split_batches(&ds.train_nodes, self.cfg.batch_size, Some(&mut shuffle_rng));
-        let topo = self.machine.topology.clone();
+        let mut nan_iters = std::mem::take(&mut self.nan_iters);
+        let mut fault: Option<NumericFault> = None;
+        let result = self.with_stages(ds, |stages, e| {
+            Engine::run_epoch(
+                e.topo,
+                e.faults,
+                e.counters,
+                e.obs,
+                StallPolicy::Free,
+                batches.iter().map(Ok::<_, std::convert::Infallible>),
+                |ctx, counters, seeds| {
+                    if fault.is_some() {
+                        return None;
+                    }
+                    let it = *stages.iter;
+                    let mut out = stages.train_batch(ctx, counters, seeds, opt);
+                    let Some(guard) = guard.as_deref_mut() else {
+                        return Some(out);
+                    };
+                    if nan_iters.remove(&it) {
+                        out.loss = f32::NAN;
+                    }
+                    fault = guard.observe(it, out.loss);
+                    fault.is_none().then_some(out)
+                },
+            )
+        });
+        // Unconsumed injections stay armed for later iterations.
+        self.nan_iters = nan_iters;
+        let mut stats = result.unwrap();
+        self.finish_epoch(&mut stats);
+        (stats, fault)
+    }
+
+    /// Post-epoch bookkeeping shared by the sync and async paths.
+    fn finish_epoch(&mut self, stats: &mut EpochStats) {
+        self.epoch += 1;
+        self.timings.merge(&stats.timings);
+        stats.cache_degraded = std::mem::take(&mut self.degraded_resume);
+    }
+
+    /// Split the trainer into its stage set and the state the pipeline
+    /// engine drives, and run `f` over them.
+    fn with_stages<R>(
+        &mut self,
+        ds: &HeteroDataset,
+        f: impl FnOnce(&mut HeteroStages<'_, '_>, EngineState<'_>) -> R,
+    ) -> R {
         let mut stages = HeteroStages {
             model: &mut self.model,
             cache: &mut self.cache,
@@ -268,20 +246,15 @@ impl HeteroTrainer {
             machine: &self.machine,
             ds,
         };
-        let result = Engine::run_epoch(
-            &topo,
-            &mut self.faults,
-            &mut self.counters,
-            &mut self.obs,
-            StallPolicy::Free,
-            batches.iter().map(Ok::<_, std::convert::Infallible>),
-            |ctx, counters, seeds| Some(stages.train_batch(ctx, counters, seeds, opt)),
-        );
-        let mut stats = result.unwrap();
-        self.epoch += 1;
-        self.timings.merge(&stats.timings);
-        stats.cache_degraded = std::mem::take(&mut self.degraded_resume);
-        stats
+        f(
+            &mut stages,
+            EngineState {
+                topo: &self.machine.topology,
+                faults: &mut self.faults,
+                counters: &mut self.counters,
+                obs: &mut self.obs,
+            },
+        )
     }
 
     /// Enable (or disable with `None`) seeded adversarial scheduling on
@@ -331,174 +304,32 @@ impl HeteroTrainer {
         };
         let target = ds.target_type;
         let fanouts = self.cfg.fanouts.clone();
-        let topo = self.machine.topology.clone();
-        let mut stages = HeteroStages {
-            model: &mut self.model,
-            cache: &mut self.cache,
-            policy: &*self.policy,
-            policy_rng: &mut self.policy_rng,
-            sampler: &mut self.sampler,
-            rng: &mut self.rng,
-            iter: &mut self.iter,
-            cfg: &self.cfg,
-            rel_types: &self.rel_types,
-            dims: &self.dims,
-            machine: &self.machine,
-            ds,
-        };
         let init_graph = std::sync::Arc::clone(&graph);
-        let result = Engine::run_epoch_overlapped::<_, _, _, SampleError>(
-            &topo,
-            &mut self.faults,
-            &mut self.counters,
-            &mut self.obs,
-            &runtime_cfg,
-            batches,
-            move || HeteroSampler::new(&init_graph),
-            move |sampler: &mut HeteroSampler, i, seeds: &Vec<NodeId>, _attempt| {
-                // Per-batch RNG, recreated per attempt => schedule- and
-                // retry-independent output (same discipline as
-                // `AsyncSampler`).
-                let mut rng = Rng::new(batch_seed ^ (i as u64).wrapping_mul(0x9E37_79B9));
-                let mb = sampler.sample(&graph, target, seeds, &fanouts, &mut rng);
-                (seeds.clone(), mb)
-            },
-            |ctx, counters, (seeds, mb)| Some(stages.train_sampled(ctx, counters, &seeds, mb, opt)),
-        );
+        let result = self.with_stages(ds, |stages, e| {
+            Engine::run_epoch_overlapped::<_, _, _, SampleError>(
+                e.topo,
+                e.faults,
+                e.counters,
+                e.obs,
+                &runtime_cfg,
+                batches,
+                move || HeteroSampler::new(&init_graph),
+                move |sampler: &mut HeteroSampler, i, seeds: &Vec<NodeId>, _attempt| {
+                    // Per-batch RNG, recreated per attempt => schedule- and
+                    // retry-independent output (same discipline as
+                    // `AsyncSampler`).
+                    let mut rng = Rng::new(batch_seed ^ (i as u64).wrapping_mul(0x9E37_79B9));
+                    let mb = sampler.sample(&graph, target, seeds, &fanouts, &mut rng);
+                    (seeds.clone(), mb)
+                },
+                |ctx, counters, (seeds, mb)| {
+                    Some(stages.train_sampled(ctx, counters, &seeds, mb, opt))
+                },
+            )
+        });
         let mut stats = result?;
-        self.epoch += 1;
-        self.timings.merge(&stats.timings);
-        stats.cache_degraded = std::mem::take(&mut self.degraded_resume);
+        self.finish_epoch(&mut stats);
         Ok(stats)
-    }
-
-    /// Train one epoch under the health supervisor — the heterogeneous
-    /// analogue of [`crate::Trainer::train_epoch_resilient`]: a tripped
-    /// numeric guard aborts the epoch, rolls back to the supervisor's
-    /// baseline checkpoint (evicting future-stamped cache entries) and
-    /// replays the identical batch schedule; the rollback budget bounds
-    /// deterministic divergences.
-    pub fn train_epoch_resilient(
-        &mut self,
-        ds: &HeteroDataset,
-        opt: &mut dyn Optimizer,
-        sup: &mut Supervisor,
-    ) -> Result<EpochStats, crate::error::FgnnError> {
-        use crate::error::FgnnError;
-        if !sup.has_baseline() {
-            sup.set_baseline(self.checkpoint(opt));
-        }
-        loop {
-            let mut nan_iters = std::mem::take(&mut self.nan_iters);
-            let (stats, fault) = self.train_epoch_guarded(ds, opt, &mut sup.guard, &mut nan_iters);
-            self.nan_iters = nan_iters;
-            let Some(fault) = fault else {
-                let breaker_open = matches!(self.faults.breaker_state(), Some(BreakerState::Open));
-                if breaker_open || stats.degraded_batches > 0 {
-                    sup.transition(
-                        HealthState::Degraded,
-                        self.iter,
-                        self.epoch,
-                        "breaker-open",
-                        &mut self.obs,
-                    );
-                } else {
-                    sup.transition(
-                        HealthState::Healthy,
-                        self.iter,
-                        self.epoch,
-                        "epoch-clean",
-                        &mut self.obs,
-                    );
-                    sup.set_baseline(self.checkpoint(opt));
-                }
-                return Ok(stats);
-            };
-            sup.transition(
-                HealthState::Degraded,
-                fault.iter(),
-                self.epoch,
-                fault.cause(),
-                &mut self.obs,
-            );
-            if !sup.can_roll_back() {
-                return Err(FgnnError::Numeric(format!(
-                    "rollback budget exhausted after {} rollbacks: {}",
-                    sup.rollbacks(),
-                    fault.cause()
-                )));
-            }
-            let ckpt = sup.baseline().cloned().ok_or_else(|| {
-                FgnnError::Numeric(format!("no baseline to roll back to: {}", fault.cause()))
-            })?;
-            self.restore(&ckpt, opt)?;
-            sup.record_rollback(&mut self.obs);
-            sup.transition(
-                HealthState::Recovering,
-                ckpt.iter,
-                self.epoch,
-                "rollback",
-                &mut self.obs,
-            );
-        }
-    }
-
-    /// [`HeteroTrainer::train_epoch`] with the numeric-health guard in the
-    /// loop; once it trips, remaining batches are skipped and the fault is
-    /// returned with the partial stats.
-    fn train_epoch_guarded(
-        &mut self,
-        ds: &HeteroDataset,
-        opt: &mut dyn Optimizer,
-        guard: &mut NumericGuard,
-        nan_iters: &mut BTreeSet<u32>,
-    ) -> (EpochStats, Option<NumericFault>) {
-        let mut shuffle_rng = self.rng.fork();
-        let batches = split_batches(&ds.train_nodes, self.cfg.batch_size, Some(&mut shuffle_rng));
-        let topo = self.machine.topology.clone();
-        let mut stages = HeteroStages {
-            model: &mut self.model,
-            cache: &mut self.cache,
-            policy: &*self.policy,
-            policy_rng: &mut self.policy_rng,
-            sampler: &mut self.sampler,
-            rng: &mut self.rng,
-            iter: &mut self.iter,
-            cfg: &self.cfg,
-            rel_types: &self.rel_types,
-            dims: &self.dims,
-            machine: &self.machine,
-            ds,
-        };
-        let mut fault: Option<NumericFault> = None;
-        let result = Engine::run_epoch(
-            &topo,
-            &mut self.faults,
-            &mut self.counters,
-            &mut self.obs,
-            StallPolicy::Free,
-            batches.iter().map(Ok::<_, std::convert::Infallible>),
-            |ctx, counters, seeds| {
-                if fault.is_some() {
-                    return None;
-                }
-                let it = *stages.iter;
-                let mut out = stages.train_batch(ctx, counters, seeds, opt);
-                if nan_iters.remove(&it) {
-                    out.loss = f32::NAN;
-                }
-                if let Some(f) = guard.observe(it, out.loss) {
-                    fault = Some(f);
-                    return None;
-                }
-                Some(out)
-            },
-        );
-        let mut stats = result.unwrap();
-        self.epoch += 1;
-        self.timings.merge(&stats.timings);
-        stats.cache_degraded = std::mem::take(&mut self.degraded_resume);
-        (stats, fault)
     }
 
     /// Evaluate accuracy on target-type `nodes` with plain (uncached)
@@ -513,6 +344,51 @@ impl HeteroTrainer {
             batch_size,
             &mut rng,
         )
+    }
+}
+
+/// Checkpoints carry the historical-cache snapshot. The arch slot records
+/// [`Arch::Sage`]: R-GraphSAGE is the relational form of SAGE and has no
+/// own `Arch` variant.
+impl Recoverable for HeteroTrainer {
+    type Dataset = HeteroDataset;
+
+    fn checkpoint(&mut self, opt: &dyn Optimizer) -> Checkpoint {
+        self.state().checkpoint(opt)
+    }
+
+    fn restore(
+        &mut self,
+        ckpt: &Checkpoint,
+        opt: &mut dyn Optimizer,
+    ) -> Result<bool, CheckpointError> {
+        self.degraded_resume = self.state().restore(ckpt, opt)?;
+        Ok(self.degraded_resume)
+    }
+
+    fn train_epoch_guarded(
+        &mut self,
+        ds: &HeteroDataset,
+        opt: &mut dyn Optimizer,
+        guard: &mut NumericGuard,
+    ) -> (EpochStats, Option<NumericFault>) {
+        self.run_sync_epoch(ds, opt, Some(guard))
+    }
+
+    fn iterations(&self) -> u32 {
+        self.iter
+    }
+
+    fn epochs(&self) -> u32 {
+        self.epoch
+    }
+
+    fn obs_mut(&mut self) -> &mut Obs {
+        &mut self.obs
+    }
+
+    fn breaker_open(&self) -> bool {
+        self.faults.breaker_state() == Some(BreakerState::Open)
     }
 }
 
@@ -725,25 +601,6 @@ pub struct HeteroPruneOutcome {
     pub needed_input: Vec<Vec<bool>>,
 }
 
-/// Top-down typed reachability pruning under the baseline policy (no
-/// refresh schedule) — see [`prune_hetero_with`].
-pub fn prune_hetero(
-    mb: &mut HeteroMiniBatch,
-    rel_types: &[(usize, usize)],
-    cache: &mut HistoricalCache,
-    target: usize,
-    now: u32,
-) -> HeteroPruneOutcome {
-    prune_hetero_with(
-        mb,
-        rel_types,
-        cache,
-        target,
-        now,
-        &crate::cache::GradientPolicy,
-    )
-}
-
 /// Top-down typed reachability pruning — the heterogeneous analogue of
 /// [`crate::prune::prune_with_cache_policy`]. `rel_types[r]` gives
 /// relation `r`'s `(src_type, dst_type)`. Cache probes route through
@@ -836,6 +693,7 @@ pub fn prune_hetero_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::GradientPolicy;
     use fgnn_graph::hetero::mag_hetero;
     use fgnn_nn::Adam;
 
@@ -938,24 +796,6 @@ mod tests {
     }
 
     #[test]
-    fn hetero_resilient_epoch_rolls_back_on_injected_nan() {
-        use crate::resilience::Supervisor;
-        let ds = tiny();
-        let mut t = HeteroTrainer::new(&ds, 16, Machine::single_a100(), config(0.9, 50), 9);
-        let mut opt = Adam::new(0.01);
-        let mut sup = Supervisor::default();
-        let clean = t.train_epoch_resilient(&ds, &mut opt, &mut sup).unwrap();
-        assert!(sup.transitions().is_empty());
-        t.inject_nan_at([t.iter + 1]);
-        let recovered = t.train_epoch_resilient(&ds, &mut opt, &mut sup).unwrap();
-        assert_eq!(sup.rollbacks(), 1);
-        assert_eq!(sup.state(), crate::resilience::HealthState::Healthy);
-        assert_eq!(recovered.batches, clean.batches);
-        assert!(recovered.mean_loss.is_finite());
-        assert_eq!(t.epochs(), 2);
-    }
-
-    #[test]
     fn prune_hetero_with_empty_cache_keeps_everything_reachable() {
         let ds = tiny();
         let mut sampler = HeteroSampler::new(&ds.graph);
@@ -970,7 +810,7 @@ mod tests {
             .map(|r| (r.src_type, r.dst_type))
             .collect();
         let mut cache = HistoricalCache::new(400, &[16, 4], 50, 8, false, true);
-        let out = prune_hetero(&mut mb, &rel_types, &mut cache, 0, 0);
+        let out = prune_hetero_with(&mut mb, &rel_types, &mut cache, 0, 0, &GradientPolicy);
         assert!(out.cached.iter().all(Vec::is_empty));
         // All target dst computed.
         assert!(out.computed.last().unwrap().iter().all(|&c| c));
@@ -1004,7 +844,7 @@ mod tests {
             false,
             true,
         );
-        let base = prune_hetero(&mut mb_plain, &rel_types, &mut empty, 0, 0);
+        let base = prune_hetero_with(&mut mb_plain, &rel_types, &mut empty, 0, 0, &GradientPolicy);
         let base_needed: usize = base
             .needed_input
             .iter()
@@ -1040,7 +880,7 @@ mod tests {
                 0,
             );
         }
-        let out = prune_hetero(&mut mb, &rel_types, &mut cache, 0, 1);
+        let out = prune_hetero_with(&mut mb, &rel_types, &mut cache, 0, 1, &GradientPolicy);
         assert!(!out.cached[0].is_empty(), "level-1 hits expected");
         let needed: usize = out
             .needed_input

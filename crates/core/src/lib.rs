@@ -85,7 +85,7 @@ pub use config::FreshGnnConfig;
 pub use error::FgnnError;
 pub use obs::Obs;
 pub use pipeline::{BatchOutput, Engine, EpochStats, EvalHarness, PipelineCtx, StallPolicy};
-pub use resilience::{HealthState, Supervisor, SupervisorConfig};
+pub use resilience::{HealthState, Recoverable, Supervisor, SupervisorConfig};
 pub use runtime::{ChaosPolicy, OrderedCommit, Pool, RuntimeConfig};
 pub use sampler::SampleError;
 pub use serve::{ServeConfig, ServeEngine, ServeReport};

@@ -9,8 +9,9 @@
 //!
 //! * [`Engine::run_epoch`] owns the epoch skeleton every trainer used to
 //!   duplicate: build the [`TransferEngine`] from the trainer's optional
-//!   [`FaultPlan`] (threading the plan's RNG stream back out afterwards so
-//!   a run is one deterministic fault schedule), drive the unit stream,
+//!   [`FaultPlan`](fgnn_memsim::fault::FaultPlan) (threading the plan's
+//!   RNG stream back out afterwards so a run is one deterministic fault
+//!   schedule), drive the unit stream,
 //!   accumulate losses in the exact `total += loss as f64` order, and
 //!   assemble the [`EpochStats`] — counter delta, per-stage
 //!   [`StageTimings`], mean loss.
@@ -176,6 +177,17 @@ impl<'t> PipelineCtx<'t> {
     pub fn breaker_open(&self) -> bool {
         self.transfer.breaker_open()
     }
+}
+
+/// The trainer-owned state [`Engine::run_epoch`] drives besides the stage
+/// set: the topology transfers route over, the fault plan, the traffic
+/// ledger and the observability state. Trainers split it off next to their
+/// stage set.
+pub(crate) struct EngineState<'a> {
+    pub topo: &'a Topology,
+    pub faults: &'a mut FaultState,
+    pub counters: &'a mut TrafficCounters,
+    pub obs: &'a mut Obs,
 }
 
 /// The epoch driver shared by every trainer.

@@ -14,21 +14,25 @@
 //!   [`Transition`], an obs span under the `resilience` category, and
 //!   Exact metrics), so two same-seed runs produce byte-identical
 //!   transition logs;
-//! * the trainers' `train_epoch_resilient` methods (see
-//!   [`crate::Trainer::train_epoch_resilient`]) drive it: a tripped guard
-//!   aborts the epoch, rolls back to the baseline — evicting ring-cache
-//!   entries stamped after the restored iteration so the `t_stale` bound
-//!   holds — and replays; an open circuit breaker runs batches in
-//!   degraded mode (cache bypassed, raw features fetched).
+//! * [`Recoverable::train_epoch_resilient`], the one self-healing epoch
+//!   loop, drives it for every trainer that implements [`Recoverable`]: a
+//!   tripped guard aborts the epoch, rolls back to the baseline — evicting
+//!   ring-cache entries stamped after the restored iteration so the
+//!   `t_stale` bound holds — and replays; an open circuit breaker runs
+//!   batches in degraded mode (cache bypassed, raw features fetched). The
+//!   cluster trainer rolls its hosts back through the same
+//!   [`Supervisor::roll_back`] / [`Supervisor::rewind`] steps.
 //!
 //! Everything here is deterministic by construction: no wall clock, no
 //! OS randomness — state changes are driven by the (seeded) fault plan,
 //! the (seeded) training trajectory, and the breaker's transfer-count
 //! cooldown.
 
-use crate::checkpoint::Checkpoint;
-use crate::obs::window::AlertEvent;
+use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::error::FgnnError;
 use crate::obs::{MetricClass, Obs};
+use crate::pipeline::EpochStats;
+use fgnn_nn::Optimizer;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -61,15 +65,6 @@ impl HealthState {
             HealthState::Degraded => "degraded",
             HealthState::Recovering => "recovering",
         }
-    }
-
-    /// Whether service should run in its degraded mode. Both `Degraded`
-    /// and `Recovering` qualify: while an epoch replays from the rollback
-    /// baseline the runtime is no healthier than it was when the fault
-    /// hit, so the serving engine keeps its SLA-relaxed read path on
-    /// until the supervisor returns to `Healthy`.
-    pub fn is_degraded(self) -> bool {
-        !matches!(self, HealthState::Healthy)
     }
 }
 
@@ -171,7 +166,7 @@ impl NumericGuard {
     /// Feed one batch loss; returns the fault it trips, if any. A faulty
     /// loss is *not* admitted into the window (the window only ever holds
     /// healthy history). The z-score divides by the window's standard
-    /// deviation floored at `|mean|` ([`MIN_STD_PER_MEAN`]).
+    /// deviation floored at `|mean|` (`MIN_STD_PER_MEAN`).
     pub fn observe(&mut self, iter: u32, loss: f32) -> Option<NumericFault> {
         if !loss.is_finite() {
             return Some(NumericFault::NonFinite { iter });
@@ -258,10 +253,6 @@ pub struct Supervisor {
     transitions: Vec<Transition>,
     rollbacks: u32,
     baseline: Option<Checkpoint>,
-    /// SLO alert edges observed via [`Supervisor::observe_alert`].
-    alerts_observed: u64,
-    /// The most recent observed alert edge.
-    last_alert: Option<AlertEvent>,
 }
 
 impl Supervisor {
@@ -273,40 +264,8 @@ impl Supervisor {
             transitions: Vec::new(),
             rollbacks: 0,
             baseline: None,
-            alerts_observed: 0,
-            last_alert: None,
             cfg,
         }
-    }
-
-    /// Consume one SLO alert edge from the serving monitor
-    /// ([`crate::obs::SloMonitor`]): the alert is recorded as supervisor
-    /// *state* (a counter, a last-alert slot and the Exact
-    /// `resilience.slo.alerts_observed` / `resilience.slo.firing`
-    /// metrics) — it never transitions the health state machine by
-    /// itself. Operators (or future policies) read the state; default
-    /// behavior is unchanged by design (DESIGN.md §12).
-    pub fn observe_alert(&mut self, alert: &AlertEvent, obs: &mut Obs) {
-        self.alerts_observed += 1;
-        let firing = alert.fired;
-        self.last_alert = Some(alert.clone());
-        obs.metrics
-            .counter_add("resilience.slo.alerts_observed", MetricClass::Exact, 1);
-        obs.metrics.gauge_set(
-            "resilience.slo.firing",
-            MetricClass::Exact,
-            firing as u64 as f64,
-        );
-    }
-
-    /// Alert edges observed so far.
-    pub fn alerts_observed(&self) -> u64 {
-        self.alerts_observed
-    }
-
-    /// The most recent observed alert edge.
-    pub fn last_alert(&self) -> Option<&AlertEvent> {
-        self.last_alert.as_ref()
     }
 
     /// Current health state.
@@ -352,6 +311,62 @@ impl Supervisor {
         self.guard.reset();
         obs.metrics
             .counter_add("resilience.rollbacks", MetricClass::Exact, 1);
+    }
+
+    /// The rollback step: enter `Degraded` on `fault`, then — unless the
+    /// rollback budget is spent, which returns `Ok(false)` with `t`
+    /// untouched — [`Supervisor::rewind`] `t` to the baseline and count the
+    /// rollback. `epoch` stamps both transitions; `None` uses `t`'s own
+    /// epoch counter at each.
+    pub fn roll_back<T: Recoverable + ?Sized>(
+        &mut self,
+        t: &mut T,
+        opt: &mut dyn Optimizer,
+        fault: &NumericFault,
+        epoch: Option<u32>,
+        cause: &str,
+    ) -> Result<bool, FgnnError> {
+        let at = epoch.unwrap_or_else(|| t.epochs());
+        self.transition(
+            HealthState::Degraded,
+            fault.iter(),
+            at,
+            fault.cause(),
+            t.obs_mut(),
+        );
+        if !self.can_roll_back() {
+            return Ok(false);
+        }
+        self.rewind(t, opt, epoch, cause)?;
+        self.record_rollback(t.obs_mut());
+        Ok(true)
+    }
+
+    /// Restore the baseline into `t`, reset the numeric guard, and enter
+    /// `Recovering` at the restored iteration with `cause`. `epoch` stamps
+    /// the transition; `None` uses `t`'s restored epoch counter.
+    pub fn rewind<T: Recoverable + ?Sized>(
+        &mut self,
+        t: &mut T,
+        opt: &mut dyn Optimizer,
+        epoch: Option<u32>,
+        cause: &str,
+    ) -> Result<(), FgnnError> {
+        let baseline = self
+            .baseline
+            .as_ref()
+            .ok_or_else(|| FgnnError::Numeric(format!("no baseline to roll back to: {cause}")))?;
+        t.restore(baseline, opt)?;
+        self.guard.reset();
+        let at = epoch.unwrap_or_else(|| t.epochs());
+        self.transition(
+            HealthState::Recovering,
+            t.iterations(),
+            at,
+            cause,
+            t.obs_mut(),
+        );
+        Ok(())
     }
 
     /// Move to `to` (no-op if already there), recording the transition in
@@ -441,6 +456,107 @@ impl Supervisor {
             ));
         }
         out
+    }
+}
+
+/// A trainer the [`Supervisor`] can checkpoint, roll back and replay.
+/// Implementing it buys the self-healing epoch loop
+/// ([`Recoverable::train_epoch_resilient`]).
+pub trait Recoverable {
+    /// What one epoch trains over.
+    type Dataset: ?Sized;
+
+    /// Capture the full training state — model parameters, `opt`'s
+    /// moments, RNG, `(epoch, iteration)` cursor, traffic ledger and caches.
+    fn checkpoint(&mut self, opt: &dyn Optimizer) -> Checkpoint;
+
+    /// Restore a checkpoint taken by an identically-configured trainer
+    /// (same dataset, arch, dims, config, optimizer type).
+    ///
+    /// Returns `Ok(degraded)`: `degraded = true` means the checkpoint's
+    /// historical-cache segment was missing, corrupt, or incompatible, and
+    /// training resumed with an empty (cold) cache — correct, just slower
+    /// to re-warm. Core-state mismatches, the optimizer's included, are
+    /// hard [`CheckpointError::ShapeMismatch`] errors that leave the
+    /// trainer and `opt` untouched.
+    fn restore(
+        &mut self,
+        ckpt: &Checkpoint,
+        opt: &mut dyn Optimizer,
+    ) -> Result<bool, CheckpointError>;
+
+    /// Plan and train one epoch with `guard` watching every batch loss.
+    /// Once it trips, the remaining batches are skipped and the fault is
+    /// returned with the partial epoch's stats.
+    fn train_epoch_guarded(
+        &mut self,
+        ds: &Self::Dataset,
+        opt: &mut dyn Optimizer,
+        guard: &mut NumericGuard,
+    ) -> (EpochStats, Option<NumericFault>);
+
+    /// Iterations executed so far.
+    fn iterations(&self) -> u32;
+
+    /// Completed epochs so far.
+    fn epochs(&self) -> u32;
+
+    /// The observability state transitions are recorded into.
+    fn obs_mut(&mut self) -> &mut Obs;
+
+    /// Whether the interconnect circuit breaker is open.
+    fn breaker_open(&self) -> bool;
+
+    /// Train one epoch under the health supervisor: every batch loss is
+    /// fed through `sup`'s [`NumericGuard`], and a tripped guard (NaN/Inf
+    /// loss, or a loss spike past the z-score threshold) aborts the epoch,
+    /// rolls the trainer back to the supervisor's last-known-good baseline
+    /// checkpoint and replays it. The rollback restores the RNG, so the
+    /// replay walks the exact same batch schedule; restoring also evicts
+    /// ring-cache entries stamped after the baseline iteration, keeping
+    /// the `t_stale` bound intact across the rewind.
+    ///
+    /// State machine: a fault moves the supervisor `→ Degraded`, the
+    /// rollback `→ Recovering`, and the first clean epoch `→ Healthy`
+    /// (which also refreshes the baseline). If the circuit breaker is open
+    /// after a clean epoch the supervisor parks in `Degraded` instead and
+    /// the baseline is left alone.
+    ///
+    /// Errors with [`FgnnError::Numeric`] once `sup`'s rollback budget is
+    /// exhausted (a deterministic divergence replays identically, so
+    /// retrying forever would livelock).
+    fn train_epoch_resilient(
+        &mut self,
+        ds: &Self::Dataset,
+        opt: &mut dyn Optimizer,
+        sup: &mut Supervisor,
+    ) -> Result<EpochStats, FgnnError> {
+        if !sup.has_baseline() {
+            sup.set_baseline(self.checkpoint(opt));
+        }
+        loop {
+            let (stats, fault) = self.train_epoch_guarded(ds, opt, &mut sup.guard);
+            let Some(fault) = fault else {
+                let (to, cause) = if self.breaker_open() || stats.degraded_batches > 0 {
+                    (HealthState::Degraded, "breaker-open")
+                } else {
+                    (HealthState::Healthy, "epoch-clean")
+                };
+                let (iter, epoch) = (self.iterations(), self.epochs());
+                sup.transition(to, iter, epoch, cause, self.obs_mut());
+                if to == HealthState::Healthy {
+                    sup.set_baseline(self.checkpoint(opt));
+                }
+                return Ok(stats);
+            };
+            if !sup.roll_back(self, opt, &fault, None, "rollback")? {
+                return Err(FgnnError::Numeric(format!(
+                    "rollback budget exhausted after {} rollbacks: {}",
+                    sup.rollbacks(),
+                    fault.cause()
+                )));
+            }
+        }
     }
 }
 
@@ -562,41 +678,6 @@ mod tests {
         assert!(doc.contains("\"kind\":\"resilience\""));
         assert!(doc.contains("\"cause\":\"non-finite-loss@5\""));
         assert_eq!(doc.lines().count(), 2);
-    }
-
-    #[test]
-    fn observed_alerts_are_state_not_behavior() {
-        let mut sup = Supervisor::default();
-        let mut obs = Obs::new();
-        let alert = AlertEvent {
-            at_ns: 1_000_000,
-            rule: "fast-burn",
-            fired: true,
-            burn_long: 8.0,
-            burn_short: 9.5,
-            windowed_p99_ns: 2_500_000,
-        };
-        sup.observe_alert(&alert, &mut obs);
-        assert_eq!(sup.alerts_observed(), 1);
-        assert_eq!(sup.last_alert(), Some(&alert));
-        assert_eq!(
-            sup.state(),
-            HealthState::Healthy,
-            "alerts never transition the state machine by themselves"
-        );
-        assert!(sup.transitions().is_empty());
-        assert_eq!(
-            obs.metrics.counter("resilience.slo.alerts_observed"),
-            Some(1)
-        );
-        assert_eq!(obs.metrics.gauge("resilience.slo.firing"), Some(1.0));
-        let resolve = AlertEvent {
-            fired: false,
-            ..alert
-        };
-        sup.observe_alert(&resolve, &mut obs);
-        assert_eq!(obs.metrics.gauge("resilience.slo.firing"), Some(0.0));
-        assert_eq!(sup.alerts_observed(), 2);
     }
 
     #[test]

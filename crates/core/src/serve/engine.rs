@@ -10,8 +10,7 @@
 //! decision and metric is a pure function of the seed and two same-seed
 //! runs are byte-identical.
 //!
-//! **Degraded mode** engages when the transfer breaker is open or the
-//! supervisor's health state says so ([`HealthState::is_degraded`]): the
+//! **Degraded mode** engages when the transfer breaker is open: the
 //! store widens cache hits from the tight operator SLA to each request's
 //! own staleness budget, so admitted requests complete from cache instead
 //! of queueing behind a broken interconnect. Deadline shedding looks
@@ -29,7 +28,7 @@ use crate::cache::policy::Verdict;
 use crate::error::FgnnError;
 use crate::obs::window::{AlertEvent, SloMonitor};
 use crate::obs::{MetricClass, Obs, Tracer};
-use crate::resilience::HealthState;
+use crate::trainer::layer_dims;
 use fgnn_graph::sample::NeighborSampler;
 use fgnn_graph::{Dataset, NodeId};
 use fgnn_memsim::fault::{BreakerPolicy, BreakerState, FaultPlan, FaultState, RetryPolicy};
@@ -138,7 +137,6 @@ pub struct ServeEngine<'a> {
     cfg: ServeConfig,
     store: EmbedStore,
     faults: FaultState,
-    health: HealthState,
     /// Observability state (sim clock, per-batch spans, `Exact` metrics).
     pub obs: Obs,
     /// Exemplar request-span stream (separate from `obs.tracer`, which
@@ -172,12 +170,12 @@ impl<'a> ServeEngine<'a> {
             )));
         }
         let mut rng = Rng::new(cfg.seed);
-        let mut dims = Vec::with_capacity(cfg.fanouts.len() + 1);
-        dims.push(ds.spec.feature_dim);
-        for _ in 1..cfg.fanouts.len() {
-            dims.push(hidden);
-        }
-        dims.push(ds.spec.num_classes);
+        let dims = layer_dims(
+            ds.spec.feature_dim,
+            hidden,
+            cfg.fanouts.len(),
+            ds.spec.num_classes,
+        );
         let model = Model::new(Arch::Sage, &dims, &mut rng);
         let store = EmbedStore::new(ds.num_nodes(), ds.spec.num_classes, cfg.freshness.clone());
         let slo = SloMonitor::new(cfg.telemetry.slo.clone(), &SERVE_LATENCY_BUCKETS_NS);
@@ -188,7 +186,6 @@ impl<'a> ServeEngine<'a> {
             cfg,
             store,
             faults: FaultState::none(),
-            health: HealthState::Healthy,
             obs: Obs::new(),
             req_tracer: Tracer::new(),
             slo,
@@ -199,11 +196,6 @@ impl<'a> ServeEngine<'a> {
     /// The exemplar request-span stream (`fgnn-serve-trace-v1` payload).
     pub fn request_tracer(&self) -> &Tracer {
         &self.req_tracer
-    }
-
-    /// The SLO monitor: windowed latency sketch and burn-rate state.
-    pub fn slo(&self) -> &SloMonitor {
-        &self.slo
     }
 
     /// Alert fire/resolve edges emitted so far, in sim-time order.
@@ -260,12 +252,6 @@ impl<'a> ServeEngine<'a> {
     /// Current breaker state, if one is armed.
     pub fn breaker_state(&self) -> Option<BreakerState> {
         self.faults.breaker_state()
-    }
-
-    /// Feed the supervisor's health verdict into the serving engine;
-    /// degraded or recovering health engages the SLA-relaxed read path.
-    pub fn set_health(&mut self, health: HealthState) {
-        self.health = health;
     }
 
     /// The embedding store (cache counters, SLA bookkeeping).
@@ -377,7 +363,7 @@ impl<'a> ServeEngine<'a> {
                         continue;
                     }
                     let start_ns = cursor_ns;
-                    let degraded = transfer.breaker_open() || self.health.is_degraded();
+                    let degraded = transfer.breaker_open();
                     let out = self.serve_batch(
                         &batch,
                         start_ns,

@@ -11,9 +11,8 @@
 //!
 //! * **normal mode** — `min(t_sla_ms, budget)`: the operator's tight SLA,
 //!   further tightened by any stricter request;
-//! * **degraded mode** — `budget`: when the transfer breaker is open or
-//!   the supervisor reports degraded health, a fetch is the expensive
-//!   thing to avoid, so the store relaxes exactly up to what each request
+//! * **degraded mode** — `budget`: when the transfer breaker is open, a
+//!   fetch is the expensive thing to avoid, so the store relaxes exactly up to what each request
 //!   contracted for — and not a millisecond past it. Every served age is
 //!   checked against the budget and violations are counted (`Exact`);
 //!   the invariant is that the counter stays zero.

@@ -29,9 +29,8 @@
 //!   `BENCH_serve.json` performance-trajectory summary.
 //!
 //! Degraded serving is principled, not best-effort: when the transfer
-//! [`CircuitBreaker`](fgnn_memsim::CircuitBreaker) is open or the
-//! [`Supervisor`](crate::resilience::Supervisor) reports degraded health,
-//! the engine widens the cache-hit bound from the tight operator SLA to
+//! [`CircuitBreaker`](fgnn_memsim::CircuitBreaker) is open, the engine
+//! widens the cache-hit bound from the tight operator SLA to
 //! each request's *own* staleness budget — it never serves an embedding
 //! older than what the request contracted for (the serving analogue of
 //! the `t_stale` invariant, counted in `serve.sla.violations`, which must

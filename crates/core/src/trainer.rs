@@ -19,13 +19,13 @@
 //!    kept, the rest skipped / evicted; stale entries age out via the ring.
 
 use crate::cache::{CachePolicy, HistoricalCache, PolicyInput, StaticFeatureCache};
-use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::checkpoint::{Checkpoint, CheckpointError, TrainerState};
 use crate::config::FreshGnnConfig;
 use crate::loader::FeatureLoader;
 use crate::obs::{MetricClass, Obs};
-use crate::pipeline::{BatchOutput, Engine, EvalHarness, PipelineCtx, StallPolicy};
+use crate::pipeline::{BatchOutput, Engine, EngineState, EvalHarness, PipelineCtx, StallPolicy};
 use crate::prune::{prune_with_cache_policy, PruneOutcome};
-use crate::resilience::{HealthState, NumericFault, NumericGuard, Supervisor};
+use crate::resilience::{NumericFault, NumericGuard, Recoverable};
 use crate::sampler::{FaultHook, HedgePolicy, SampleError, SamplerObsReport};
 use fgnn_graph::block::MiniBatch;
 use fgnn_graph::sample::{split_batches, NeighborSampler};
@@ -103,13 +103,12 @@ impl Trainer {
     ) -> Self {
         cfg.validate().expect("invalid config");
         let mut rng = Rng::new(seed);
-        let num_layers = cfg.num_layers();
-        let mut dims = Vec::with_capacity(num_layers + 1);
-        dims.push(ds.spec.feature_dim);
-        for _ in 1..num_layers {
-            dims.push(hidden);
-        }
-        dims.push(ds.spec.num_classes);
+        let dims = layer_dims(
+            ds.spec.feature_dim,
+            hidden,
+            cfg.num_layers(),
+            ds.spec.num_classes,
+        );
         let model = Model::new(arch, &dims, &mut rng);
 
         let policy = cfg.build_policy();
@@ -177,7 +176,7 @@ impl Trainer {
 
     /// Force the loss reported at the given iterations to NaN (chaos-test
     /// hook exercising the numeric-health guard and rollback path inside
-    /// [`Trainer::train_epoch_resilient`]). Each entry fires once.
+    /// [`Recoverable::train_epoch_resilient`]). Each entry fires once.
     pub fn inject_nan_at(&mut self, iters: impl IntoIterator<Item = u32>) {
         self.nan_iters.extend(iters);
     }
@@ -213,112 +212,19 @@ impl Trainer {
             .map(|b| (b.trips, b.fast_fails))
     }
 
-    /// Layer dimensions `[in, hidden.., out]`.
-    pub fn dims(&self) -> &[usize] {
-        &self.dims
-    }
-
-    /// Iterations executed so far.
-    pub fn iterations(&self) -> u32 {
-        self.iter
-    }
-
-    /// Completed epochs so far.
-    pub fn epochs(&self) -> u32 {
-        self.epoch
-    }
-
-    /// Capture the full training state — model parameters, optimizer
-    /// moments, RNG, `(epoch, iteration)` cursor, traffic ledger and both
-    /// caches — as a [`Checkpoint`]. Restoring it (into this or a freshly
-    /// constructed identically-configured trainer) replays the exact
-    /// remaining batch stream.
-    pub fn checkpoint(&mut self, opt: &dyn Optimizer) -> Checkpoint {
-        Checkpoint {
+    /// The checkpointed part of the trainer, split-borrowed.
+    fn state(&mut self) -> TrainerState<'_> {
+        TrainerState {
             arch: self.model.arch,
-            dims: self.dims.clone(),
-            params: self.model.export_parameters(),
-            optimizer: opt.export_state(),
-            rng_state: self.rng.state(),
-            epoch: self.epoch,
-            iter: self.iter,
-            counters: self.counters.clone(),
-            static_resident: self.static_cache.export(),
-            cache: Some(self.cache.snapshot()),
-            cache_degraded: false,
+            dims: &self.dims,
+            params: self.model.params_mut(),
+            rng: &mut self.rng,
+            epoch: &mut self.epoch,
+            iter: Some(&mut self.iter),
+            counters: &mut self.counters,
+            static_cache: Some(&mut self.static_cache),
+            cache: Some(&mut self.cache),
         }
-    }
-
-    /// Restore state from a checkpoint taken by an identically-configured
-    /// trainer (same dataset, arch, dims, config, optimizer type).
-    ///
-    /// Returns `Ok(degraded)`: `degraded = true` means the checkpoint's
-    /// historical-cache segment was missing, corrupt, or incompatible, and
-    /// training resumed with an empty (cold) cache — correct, just slower
-    /// to re-warm. The degradation is also recorded in the next epoch's
-    /// [`EpochStats::cache_degraded`]. Core-state mismatches are hard
-    /// [`CheckpointError::ShapeMismatch`] errors.
-    pub fn restore(
-        &mut self,
-        ckpt: &Checkpoint,
-        opt: &mut dyn Optimizer,
-    ) -> Result<bool, CheckpointError> {
-        if ckpt.arch != self.model.arch {
-            return Err(CheckpointError::ShapeMismatch(format!(
-                "checkpoint arch {} vs trainer {}",
-                ckpt.arch, self.model.arch
-            )));
-        }
-        if ckpt.dims != self.dims {
-            return Err(CheckpointError::ShapeMismatch(format!(
-                "checkpoint dims {:?} vs trainer {:?}",
-                ckpt.dims, self.dims
-            )));
-        }
-        if ckpt.params.len() != self.model.num_parameters() {
-            return Err(CheckpointError::ShapeMismatch(format!(
-                "checkpoint has {} parameters, model has {}",
-                ckpt.params.len(),
-                self.model.num_parameters()
-            )));
-        }
-        if ckpt.static_resident.len() != self.static_cache.num_nodes() {
-            return Err(CheckpointError::ShapeMismatch(format!(
-                "checkpoint static cache covers {} nodes, dataset has {}",
-                ckpt.static_resident.len(),
-                self.static_cache.num_nodes()
-            )));
-        }
-        self.model.import_parameters(&ckpt.params);
-        opt.import_state(ckpt.optimizer.clone());
-        self.rng = Rng::from_state(ckpt.rng_state);
-        self.epoch = ckpt.epoch;
-        self.iter = ckpt.iter;
-        self.counters = ckpt.counters.clone();
-        self.static_cache = StaticFeatureCache::import(ckpt.static_resident.clone());
-        let mut degraded = ckpt.cache_degraded;
-        let restored = match &ckpt.cache {
-            Some(snapshot) => self.cache.restore(snapshot.clone()).is_ok(),
-            None => false,
-        };
-        if !restored {
-            // Graceful degradation: resume correct but cold.
-            self.cache.clear();
-            degraded = true;
-        } else {
-            // The snapshot may have been taken from a cache that ran past
-            // the checkpoint's iteration cursor (rollback, or a grafted
-            // segment). Future-stamped entries would look forever fresh
-            // (`age = now - stamp` saturates at 0) and silently violate
-            // the t_stale bound — evict them now.
-            self.cache.evict_newer_than(ckpt.iter);
-        }
-        self.degraded_resume = degraded;
-        // Align the metric baseline with the restored cache counters, so
-        // per-epoch metric deltas after resume match a never-interrupted
-        // run (restored absolutes, not stale pre-restore ones).
-        self.sync_cache_metrics();
-        Ok(degraded)
     }
 
     /// Plan one epoch's batch schedule: fork the shuffle RNG (advancing
@@ -349,145 +255,66 @@ impl Trainer {
         batches: &[Vec<NodeId>],
         opt: &mut dyn Optimizer,
     ) -> EpochStats {
-        let topo = self.machine.topology.clone();
-        // Split the trainer into disjoint borrows: the stage set holds the
-        // model/cache/RNG side, while the engine drives the fault plan and
-        // the traffic ledger.
-        let loader = FeatureLoader::new(
-            &ds.features,
-            ds.spec.feature_row_bytes(),
-            std::mem::replace(&mut self.static_cache, StaticFeatureCache::disabled(0)),
-            self.cfg.load_mode,
-        );
-        let mut stages = FreshGnnStages {
-            model: &mut self.model,
-            cache: &mut self.cache,
-            policy: &*self.policy,
-            sampler: &mut self.sampler,
-            rng: &mut self.rng,
-            iter: &mut self.iter,
-            cfg: &self.cfg,
-            dims: &self.dims,
-            machine: &self.machine,
-            loader,
-            ds,
-        };
-        let result = Engine::run_epoch(
-            &topo,
-            &mut self.faults,
-            &mut self.counters,
-            &mut self.obs,
-            StallPolicy::Free,
-            batches.iter().map(Ok::<_, std::convert::Infallible>),
-            |ctx, counters, seeds| Some(stages.train_batch(ctx, counters, seeds, opt)),
-        );
-        self.static_cache = stages.loader.into_static_cache();
-        let mut stats = result.unwrap();
-        self.finish_epoch(&mut stats);
-        stats
+        self.run_batches(ds, batches, opt, None).0
     }
 
-    /// Train one epoch under the health supervisor: every batch loss is
-    /// fed through `sup`'s [`NumericGuard`], and a tripped guard (NaN/Inf
-    /// loss, or a loss spike past the z-score threshold) aborts the epoch,
-    /// rolls the trainer back to the supervisor's last-known-good baseline
-    /// checkpoint and replays it. The rollback restores the RNG, so the
-    /// replay walks the exact same batch schedule; restoring also evicts
-    /// ring-cache entries stamped after the baseline iteration, keeping
-    /// the `t_stale` bound intact across the rewind.
-    ///
-    /// State machine: a fault moves the supervisor `→ Degraded`, the
-    /// rollback `→ Recovering`, and the first clean epoch `→ Healthy`
-    /// (which also refreshes the baseline). If the circuit breaker is open
-    /// after a clean epoch the supervisor parks in `Degraded` instead and
-    /// the baseline is left alone.
-    ///
-    /// Errors with [`FgnnError::Numeric`] once `sup`'s rollback budget is
-    /// exhausted (a deterministic divergence replays identically, so
-    /// retrying forever would livelock).
-    pub fn train_epoch_resilient(
-        &mut self,
-        ds: &Dataset,
-        opt: &mut dyn Optimizer,
-        sup: &mut Supervisor,
-    ) -> Result<EpochStats, crate::error::FgnnError> {
-        use crate::error::FgnnError;
-        if !sup.has_baseline() {
-            sup.set_baseline(self.checkpoint(opt));
-        }
-        loop {
-            let mut shuffle_rng = self.rng.fork();
-            let batches =
-                split_batches(&ds.train_nodes, self.cfg.batch_size, Some(&mut shuffle_rng));
-            let mut nan_iters = std::mem::take(&mut self.nan_iters);
-            let (stats, fault) =
-                self.train_on_batches_guarded(ds, &batches, opt, &mut sup.guard, &mut nan_iters);
-            // Unconsumed injections stay armed for later iterations.
-            self.nan_iters = nan_iters;
-            let Some(fault) = fault else {
-                let breaker_open = matches!(self.faults.breaker_state(), Some(BreakerState::Open));
-                if breaker_open || stats.degraded_batches > 0 {
-                    sup.transition(
-                        HealthState::Degraded,
-                        self.iter,
-                        self.epoch,
-                        "breaker-open",
-                        &mut self.obs,
-                    );
-                } else {
-                    sup.transition(
-                        HealthState::Healthy,
-                        self.iter,
-                        self.epoch,
-                        "epoch-clean",
-                        &mut self.obs,
-                    );
-                    sup.set_baseline(self.checkpoint(opt));
-                }
-                return Ok(stats);
-            };
-            sup.transition(
-                HealthState::Degraded,
-                fault.iter(),
-                self.epoch,
-                fault.cause(),
-                &mut self.obs,
-            );
-            if !sup.can_roll_back() {
-                return Err(FgnnError::Numeric(format!(
-                    "rollback budget exhausted after {} rollbacks: {}",
-                    sup.rollbacks(),
-                    fault.cause()
-                )));
-            }
-            let ckpt = sup.baseline().cloned().ok_or_else(|| {
-                FgnnError::Numeric(format!("no baseline to roll back to: {}", fault.cause()))
-            })?;
-            self.restore(&ckpt, opt)?;
-            sup.record_rollback(&mut self.obs);
-            sup.transition(
-                HealthState::Recovering,
-                ckpt.iter,
-                self.epoch,
-                "rollback",
-                &mut self.obs,
-            );
-        }
-    }
-
-    /// [`Trainer::train_on_batches`] with the numeric-health guard in the
-    /// loop. Once the guard trips, the remaining batches are skipped (no
-    /// further parameter updates on a known-bad trajectory) and the fault
-    /// is returned alongside the partial epoch's stats.
-    fn train_on_batches_guarded(
+    /// The synchronous epoch driver. With a `guard`, every batch loss is
+    /// fed through it (after any [`Trainer::inject_nan_at`] override); once
+    /// it trips, the remaining batches are skipped (no further parameter
+    /// updates on a known-bad trajectory) and the fault is returned
+    /// alongside the partial epoch's stats.
+    fn run_batches(
         &mut self,
         ds: &Dataset,
         batches: &[Vec<NodeId>],
         opt: &mut dyn Optimizer,
-        guard: &mut NumericGuard,
-        nan_iters: &mut BTreeSet<u32>,
+        mut guard: Option<&mut NumericGuard>,
     ) -> (EpochStats, Option<NumericFault>) {
-        let topo = self.machine.topology.clone();
+        let mut nan_iters = std::mem::take(&mut self.nan_iters);
+        let mut fault: Option<NumericFault> = None;
+        let result = self.with_stages(ds, |stages, e| {
+            Engine::run_epoch(
+                e.topo,
+                e.faults,
+                e.counters,
+                e.obs,
+                StallPolicy::Free,
+                batches.iter().map(Ok::<_, std::convert::Infallible>),
+                |ctx, counters, seeds| {
+                    if fault.is_some() {
+                        return None;
+                    }
+                    let it = *stages.iter;
+                    let mut out = stages.train_batch(ctx, counters, seeds, opt);
+                    let Some(guard) = guard.as_deref_mut() else {
+                        return Some(out);
+                    };
+                    if nan_iters.remove(&it) {
+                        out.loss = f32::NAN;
+                    }
+                    // A faulty loss must not poison the epoch mean.
+                    fault = guard.observe(it, out.loss);
+                    fault.is_none().then_some(out)
+                },
+            )
+        });
+        // Unconsumed injections stay armed for later iterations.
+        self.nan_iters = nan_iters;
+        let mut stats = result.unwrap();
+        self.finish_epoch(&mut stats);
+        (stats, fault)
+    }
+
+    /// Split the trainer into Algorithm 1's stage set and the state the
+    /// pipeline engine drives, and run `f` over them. The stage set's
+    /// loader borrows the static feature cache, which is handed back to
+    /// the trainer whatever `f` returns, so an errored epoch leaves the
+    /// trainer usable.
+    fn with_stages<R>(
+        &mut self,
+        ds: &Dataset,
+        f: impl FnOnce(&mut FreshGnnStages<'_, '_>, EngineState<'_>) -> R,
+    ) -> R {
         let loader = FeatureLoader::new(
             &ds.features,
             ds.spec.feature_row_bytes(),
@@ -507,35 +334,17 @@ impl Trainer {
             loader,
             ds,
         };
-        let mut fault: Option<NumericFault> = None;
-        let result = Engine::run_epoch(
-            &topo,
-            &mut self.faults,
-            &mut self.counters,
-            &mut self.obs,
-            StallPolicy::Free,
-            batches.iter().map(Ok::<_, std::convert::Infallible>),
-            |ctx, counters, seeds| {
-                if fault.is_some() {
-                    return None;
-                }
-                let it = *stages.iter;
-                let mut out = stages.train_batch(ctx, counters, seeds, opt);
-                if nan_iters.remove(&it) {
-                    out.loss = f32::NAN;
-                }
-                if let Some(f) = guard.observe(it, out.loss) {
-                    fault = Some(f);
-                    // The faulty loss must not poison the epoch mean.
-                    return None;
-                }
-                Some(out)
+        let out = f(
+            &mut stages,
+            EngineState {
+                topo: &self.machine.topology,
+                faults: &mut self.faults,
+                counters: &mut self.counters,
+                obs: &mut self.obs,
             },
         );
         self.static_cache = stages.loader.into_static_cache();
-        let mut stats = result.unwrap();
-        self.finish_epoch(&mut stats);
-        (stats, fault)
+        out
     }
 
     /// Post-epoch bookkeeping shared by the sync and async paths.
@@ -710,39 +519,18 @@ impl Trainer {
             stream = stream.with_hedging(policy);
         }
 
-        let topo = self.machine.topology.clone();
-        let loader = FeatureLoader::new(
-            &ds.features,
-            ds.spec.feature_row_bytes(),
-            std::mem::replace(&mut self.static_cache, StaticFeatureCache::disabled(0)),
-            self.cfg.load_mode,
-        );
-        let mut stages = FreshGnnStages {
-            model: &mut self.model,
-            cache: &mut self.cache,
-            policy: &*self.policy,
-            sampler: &mut self.sampler,
-            rng: &mut self.rng,
-            iter: &mut self.iter,
-            cfg: &self.cfg,
-            dims: &self.dims,
-            machine: &self.machine,
-            loader,
-            ds,
-        };
-        let result = Engine::run_epoch(
-            &topo,
-            &mut self.faults,
-            &mut self.counters,
-            &mut self.obs,
-            // Only queue stalls count as sampling time (async overlap).
-            StallPolicy::ChargeSample,
-            std::iter::from_fn(|| stream.next()),
-            |ctx, counters, mb| Some(stages.train_sampled(ctx, counters, mb, opt)),
-        );
-        // Put moved state back before any return — an errored epoch must
-        // leave the trainer usable.
-        self.static_cache = stages.loader.into_static_cache();
+        let result = self.with_stages(ds, |stages, e| {
+            Engine::run_epoch(
+                e.topo,
+                e.faults,
+                e.counters,
+                e.obs,
+                // Only queue stalls count as sampling time (async overlap).
+                StallPolicy::ChargeSample,
+                std::iter::from_fn(|| stream.next()),
+                |ctx, counters, mb| Some(stages.train_sampled(ctx, counters, mb, opt)),
+            )
+        });
         // Telemetry even for an errored epoch: the report reflects the
         // work the pool actually did before the failure.
         self.record_sampler_obs(&stream.obs_report());
@@ -783,6 +571,57 @@ impl Trainer {
         let ids: Vec<usize> = mb.input_nodes().iter().map(|&g| g as usize).collect();
         let h0 = ds.features.gather_rows(&ids);
         crate::probes::estimation_error(&self.model, &mb, &h0, &self.cache, &outcome.cached)
+    }
+}
+
+/// Checkpoints carry both caches; restoring one into an
+/// identically-configured trainer (any construction seed) replays the exact
+/// remaining batch stream, and a cold historical cache is also recorded in
+/// the next epoch's [`EpochStats::cache_degraded`].
+impl Recoverable for Trainer {
+    type Dataset = Dataset;
+
+    fn checkpoint(&mut self, opt: &dyn Optimizer) -> Checkpoint {
+        self.state().checkpoint(opt)
+    }
+
+    fn restore(
+        &mut self,
+        ckpt: &Checkpoint,
+        opt: &mut dyn Optimizer,
+    ) -> Result<bool, CheckpointError> {
+        self.degraded_resume = self.state().restore(ckpt, opt)?;
+        // Align the metric baseline with the restored cache counters, so
+        // per-epoch metric deltas after resume match a never-interrupted
+        // run (restored absolutes, not stale pre-restore ones).
+        self.sync_cache_metrics();
+        Ok(self.degraded_resume)
+    }
+
+    fn train_epoch_guarded(
+        &mut self,
+        ds: &Dataset,
+        opt: &mut dyn Optimizer,
+        guard: &mut NumericGuard,
+    ) -> (EpochStats, Option<NumericFault>) {
+        let batches = self.plan_epoch_batches(ds);
+        self.run_batches(ds, &batches, opt, Some(guard))
+    }
+
+    fn iterations(&self) -> u32 {
+        self.iter
+    }
+
+    fn epochs(&self) -> u32 {
+        self.epoch
+    }
+
+    fn obs_mut(&mut self) -> &mut Obs {
+        &mut self.obs
+    }
+
+    fn breaker_open(&self) -> bool {
+        self.breaker_state() == Some(BreakerState::Open)
     }
 }
 
@@ -972,6 +811,20 @@ impl<'t> FreshGnnStages<'_, '_> {
             degraded,
         }
     }
+}
+
+/// Layer widths `[in, hidden.., out]` of a `num_layers`-deep model.
+pub(crate) fn layer_dims(
+    in_dim: usize,
+    hidden: usize,
+    num_layers: usize,
+    out: usize,
+) -> Vec<usize> {
+    let hidden_layers = std::iter::repeat_n(hidden, num_layers.saturating_sub(1));
+    std::iter::once(in_dim)
+        .chain(hidden_layers)
+        .chain(std::iter::once(out))
+        .collect()
 }
 
 /// FLOPs of one mini-batch forward+backward (≈3× forward, the usual
@@ -1191,75 +1044,6 @@ mod tests {
         assert_eq!(l1, l4, "async stream must be thread-count invariant");
         assert_eq!(b1, b4);
         assert!(l1[2] < l1[0], "loss must decrease: {l1:?}");
-    }
-
-    #[test]
-    fn resilient_epoch_rolls_back_on_injected_nan() {
-        use crate::resilience::Supervisor;
-        let ds = tiny_dataset();
-        let mut t = Trainer::new(
-            &ds,
-            Arch::Sage,
-            16,
-            Machine::single_a100(),
-            config(0.9, 50),
-            7,
-        );
-        let mut opt = Adam::new(0.01);
-        let mut sup = Supervisor::default();
-        let clean = t.train_epoch_resilient(&ds, &mut opt, &mut sup).unwrap();
-        assert!(sup.transitions().is_empty(), "clean epoch stays healthy");
-        assert_eq!(sup.rollbacks(), 0);
-
-        t.inject_nan_at([t.iterations() + 3]);
-        let recovered = t.train_epoch_resilient(&ds, &mut opt, &mut sup).unwrap();
-        assert_eq!(sup.rollbacks(), 1);
-        let arcs: Vec<_> = sup
-            .transitions()
-            .iter()
-            .map(|tr| (tr.from.name(), tr.to.name()))
-            .collect();
-        assert_eq!(
-            arcs,
-            vec![
-                ("healthy", "degraded"),
-                ("degraded", "recovering"),
-                ("recovering", "healthy"),
-            ]
-        );
-        // The rollback restored the RNG, so the replay walks the full
-        // batch schedule; the injection was consumed, so it runs clean.
-        assert_eq!(recovered.batches, clean.batches);
-        assert!(recovered.mean_loss.is_finite());
-        assert_eq!(t.epochs(), 2, "replay must not inflate the epoch count");
-    }
-
-    #[test]
-    fn resilient_epoch_errors_when_rollback_budget_exhausted() {
-        use crate::error::FgnnError;
-        use crate::resilience::{GuardConfig, Supervisor, SupervisorConfig};
-        let ds = tiny_dataset();
-        let mut t = Trainer::new(
-            &ds,
-            Arch::Sage,
-            16,
-            Machine::single_a100(),
-            config(0.9, 50),
-            8,
-        );
-        let mut opt = Adam::new(0.01);
-        let mut sup = Supervisor::new(SupervisorConfig {
-            max_rollbacks: 2,
-            guard: GuardConfig::default(),
-        });
-        // Injections at the same post-rollback iteration re-fire on every
-        // replay: a persistent divergence.
-        t.inject_nan_at([0, 1, 2, 3]);
-        let err = t
-            .train_epoch_resilient(&ds, &mut opt, &mut sup)
-            .unwrap_err();
-        assert!(matches!(err, FgnnError::Numeric(_)), "{err}");
-        assert_eq!(sup.rollbacks(), 2);
     }
 
     #[test]

@@ -34,10 +34,10 @@ pub trait Optimizer {
     fn export_state(&self) -> OptimizerState;
 
     /// Restore state exported by [`Optimizer::export_state`] from the same
-    /// optimizer type on the same parameter list. Panics on a shape or
-    /// count mismatch — that indicates a config/checkpoint mix-up the
-    /// caller should have rejected.
-    fn import_state(&mut self, state: OptimizerState);
+    /// optimizer type on the same parameter list. State of another
+    /// optimizer type is rejected with the reason, and `self` is left
+    /// untouched.
+    fn import_state(&mut self, state: OptimizerState) -> Result<(), String>;
 }
 
 /// Stochastic gradient descent with optional momentum.
@@ -102,9 +102,15 @@ impl Optimizer for Sgd {
         }
     }
 
-    fn import_state(&mut self, state: OptimizerState) {
-        assert!(state.counters.is_empty(), "SGD has no counter state");
+    fn import_state(&mut self, state: OptimizerState) -> Result<(), String> {
+        if !state.counters.is_empty() {
+            return Err(format!(
+                "SGD has no counter state, got {}",
+                state.counters.len()
+            ));
+        }
         self.velocity = state.tensors;
+        Ok(())
     }
 }
 
@@ -181,17 +187,25 @@ impl Optimizer for Adam {
         }
     }
 
-    fn import_state(&mut self, state: OptimizerState) {
-        assert_eq!(state.counters.len(), 1, "Adam state has one counter (t)");
-        assert!(
-            state.tensors.len().is_multiple_of(2),
-            "Adam moments come in (m, v) pairs"
-        );
+    fn import_state(&mut self, state: OptimizerState) -> Result<(), String> {
+        if state.counters.len() != 1 {
+            return Err(format!(
+                "Adam state has one counter (t), got {}",
+                state.counters.len()
+            ));
+        }
+        if !state.tensors.len().is_multiple_of(2) {
+            return Err(format!(
+                "Adam moments come in (m, v) pairs, got {} tensors",
+                state.tensors.len()
+            ));
+        }
         self.t = state.counters[0] as u32;
         let half = state.tensors.len() / 2;
         let mut tensors = state.tensors;
         self.v = tensors.split_off(half);
         self.m = tensors;
+        Ok(())
     }
 }
 
@@ -254,7 +268,7 @@ mod tests {
             warm.step(&mut [&mut p1]);
             p1.zero_grad();
         }
-        cold.import_state(warm.export_state());
+        cold.import_state(warm.export_state()).unwrap();
         let mut p2 = p1.clone();
         for _ in 0..10 {
             let x1 = p1.value.get(0, 0);
@@ -277,6 +291,19 @@ mod tests {
     #[test]
     fn sgd_momentum_state_round_trip_is_bitwise() {
         state_round_trip(Sgd::with_momentum(0.05, 0.9), Sgd::with_momentum(0.05, 0.9));
+    }
+
+    #[test]
+    fn state_of_another_optimizer_type_is_rejected_untouched() {
+        let mut sgd = Sgd::with_momentum(0.05, 0.9);
+        let mut p = quadratic_param(5.0);
+        p.grad.set(0, 0, 1.0);
+        sgd.step(&mut [&mut p]);
+        let mut adam = Adam::new(0.1);
+        let before = adam.export_state();
+        assert!(adam.import_state(sgd.export_state()).is_err());
+        assert_eq!(adam.export_state(), before);
+        assert!(sgd.import_state(before).is_err());
     }
 
     #[test]

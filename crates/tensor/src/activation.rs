@@ -22,43 +22,12 @@ pub fn relu_backward_inplace(grad: &mut Matrix, fwd_out: &Matrix) {
     }
 }
 
-/// LeakyReLU forward with slope `alpha` for negative inputs, in place.
-pub fn leaky_relu_inplace(m: &mut Matrix, alpha: f32) {
-    m.map_inplace(|x| if x > 0.0 { x } else { alpha * x });
-}
-
 /// LeakyReLU derivative evaluated at the forward *input*.
 pub fn leaky_relu_grad(x: f32, alpha: f32) -> f32 {
     if x > 0.0 {
         1.0
     } else {
         alpha
-    }
-}
-
-/// ELU forward (used by GAT reference impls), in place.
-pub fn elu_inplace(m: &mut Matrix, alpha: f32) {
-    m.map_inplace(|x| if x > 0.0 { x } else { alpha * (x.exp() - 1.0) });
-}
-
-/// ELU backward given forward output (valid because ELU is invertible on
-/// its negative branch: `dy/dx = y + alpha` when `x <= 0`).
-pub fn elu_backward_inplace(grad: &mut Matrix, fwd_out: &Matrix, alpha: f32) {
-    debug_assert_eq!(grad.shape(), fwd_out.shape());
-    for (g, &y) in grad.as_mut_slice().iter_mut().zip(fwd_out.as_slice()) {
-        if y <= 0.0 {
-            *g *= y + alpha;
-        }
-    }
-}
-
-/// Numerically-stable sigmoid.
-pub fn sigmoid(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
     }
 }
 
@@ -82,39 +51,8 @@ mod tests {
     }
 
     #[test]
-    fn leaky_relu_keeps_scaled_negatives() {
-        let mut m = Matrix::from_vec(1, 2, vec![-2.0, 2.0]);
-        leaky_relu_inplace(&mut m, 0.1);
-        assert!((m.get(0, 0) + 0.2).abs() < 1e-6);
-        assert_eq!(m.get(0, 1), 2.0);
+    fn leaky_relu_grad_scales_negatives() {
         assert_eq!(leaky_relu_grad(-1.0, 0.1), 0.1);
         assert_eq!(leaky_relu_grad(1.0, 0.1), 1.0);
-    }
-
-    #[test]
-    fn elu_forward_backward_consistent_with_finite_difference() {
-        let alpha = 1.0;
-        for &x in &[-2.0_f32, -0.5, 0.5, 2.0] {
-            let eps = 1e-3;
-            let f = |x: f32| if x > 0.0 { x } else { alpha * (x.exp() - 1.0) };
-            let numeric = (f(x + eps) - f(x - eps)) / (2.0 * eps);
-            let mut fwd = Matrix::from_vec(1, 1, vec![x]);
-            elu_inplace(&mut fwd, alpha);
-            let mut g = Matrix::from_vec(1, 1, vec![1.0]);
-            elu_backward_inplace(&mut g, &fwd, alpha);
-            assert!(
-                (g.get(0, 0) - numeric).abs() < 1e-2,
-                "x={x}: analytic {} vs numeric {numeric}",
-                g.get(0, 0)
-            );
-        }
-    }
-
-    #[test]
-    fn sigmoid_is_stable_and_symmetric() {
-        assert!((sigmoid(0.0) - 0.5).abs() < 1e-6);
-        assert!(sigmoid(100.0) > 0.999);
-        assert!(sigmoid(-100.0) < 1e-3);
-        assert!((sigmoid(2.0) + sigmoid(-2.0) - 1.0).abs() < 1e-6);
     }
 }

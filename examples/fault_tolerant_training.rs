@@ -7,7 +7,7 @@
 //! ```
 
 use freshgnn_repro::core::checkpoint::Checkpoint;
-use freshgnn_repro::core::{FreshGnnConfig, Trainer};
+use freshgnn_repro::core::{FreshGnnConfig, Recoverable, Trainer};
 use freshgnn_repro::graph::datasets::arxiv_spec;
 use freshgnn_repro::graph::Dataset;
 use freshgnn_repro::memsim::fault::{FaultPlan, RetryPolicy};

@@ -93,4 +93,8 @@ rm -f "$resilience_out"
 
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Intra-doc links must resolve, so deleting or renaming an item cannot
+# leave a dangling link in the docs behind.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps
+
 echo "ci: all green"

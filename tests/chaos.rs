@@ -9,12 +9,15 @@ mod common;
 
 use freshgnn_repro::core::hetero_trainer::HeteroTrainer;
 use freshgnn_repro::core::obs::export::metrics_jsonl;
-use freshgnn_repro::core::resilience::{GuardConfig, HealthState, Supervisor, SupervisorConfig};
+use freshgnn_repro::core::resilience::{
+    GuardConfig, HealthState, Recoverable, Supervisor, SupervisorConfig,
+};
 use freshgnn_repro::core::runtime::ChaosPolicy;
 use freshgnn_repro::core::sampler::{FaultHook, HedgePolicy};
+use freshgnn_repro::core::FgnnError;
 use freshgnn_repro::core::{FreshGnnConfig, Trainer};
 use freshgnn_repro::graph::datasets::arxiv_spec;
-use freshgnn_repro::graph::hetero::mag_hetero;
+use freshgnn_repro::graph::hetero::{mag_hetero, HeteroDataset};
 use freshgnn_repro::graph::Dataset;
 use freshgnn_repro::memsim::fault::{BreakerPolicy, BreakerState, FaultPlan, RetryPolicy};
 use freshgnn_repro::memsim::presets::Machine;
@@ -37,6 +40,105 @@ fn cfg() -> FreshGnnConfig {
 
 fn new_trainer(ds: &Dataset, seed: u64) -> Trainer {
     Trainer::new(ds, Arch::Sage, 16, Machine::single_a100(), cfg(), seed)
+}
+
+/// A hetero trainer on 40 train nodes: 3 batches of 16 per epoch.
+fn new_hetero(seed: u64) -> (HeteroTrainer, HeteroDataset) {
+    let ds = mag_hetero(400, 4, 8, 3);
+    let cfg = FreshGnnConfig {
+        fanouts: vec![3, 3],
+        batch_size: 16,
+        ..cfg()
+    };
+    let t = HeteroTrainer::new(&ds, 16, Machine::single_a100(), cfg, seed);
+    (t, ds)
+}
+
+/// A transient NaN rolls back to the baseline and the replay runs clean,
+/// for any [`Recoverable`] trainer.
+fn rolls_back_on_injected_nan<T: Recoverable>(
+    t: &mut T,
+    ds: &T::Dataset,
+    inject_nan_at: impl Fn(&mut T, u32),
+) {
+    let mut opt = Adam::new(0.01);
+    let mut sup = Supervisor::default();
+    let clean = t.train_epoch_resilient(ds, &mut opt, &mut sup).unwrap();
+    assert!(sup.transitions().is_empty(), "clean epoch stays healthy");
+    assert_eq!(sup.rollbacks(), 0);
+
+    let at = t.iterations() + 1;
+    inject_nan_at(t, at);
+    let recovered = t.train_epoch_resilient(ds, &mut opt, &mut sup).unwrap();
+    assert_eq!(sup.rollbacks(), 1);
+    let arcs: Vec<_> = sup
+        .transitions()
+        .iter()
+        .map(|tr| (tr.from, tr.to))
+        .collect();
+    assert_eq!(
+        arcs,
+        vec![
+            (HealthState::Healthy, HealthState::Degraded),
+            (HealthState::Degraded, HealthState::Recovering),
+            (HealthState::Recovering, HealthState::Healthy),
+        ]
+    );
+    // The rollback restored the RNG, so the replay walks the full batch
+    // schedule; the injection was consumed, so it runs clean.
+    assert_eq!(recovered.batches, clean.batches);
+    assert!(recovered.mean_loss.is_finite());
+    assert_eq!(t.epochs(), 2, "replay must not inflate the epoch count");
+}
+
+#[test]
+fn resilient_epoch_rolls_back_on_injected_nan() {
+    let ds = tiny();
+    rolls_back_on_injected_nan(&mut new_trainer(&ds, 7), &ds, |t, i| t.inject_nan_at([i]));
+    let (mut t, ds) = new_hetero(9);
+    rolls_back_on_injected_nan(&mut t, &ds, |t, i| t.inject_nan_at([i]));
+}
+
+/// A divergence that survives every replay exhausts the rollback budget
+/// and surfaces as an error, for any [`Recoverable`] trainer.
+fn errors_when_rollback_budget_exhausted<T: Recoverable>(
+    t: &mut T,
+    ds: &T::Dataset,
+    inject_nan_at: impl Fn(&mut T, u32),
+) {
+    let mut opt = Adam::new(0.01);
+    let mut sup = Supervisor::new(SupervisorConfig {
+        max_rollbacks: 2,
+        guard: GuardConfig::default(),
+    });
+    // Each replay from the baseline reaches one injection further: a
+    // persistent divergence.
+    for i in 0..3 {
+        inject_nan_at(t, i);
+    }
+    let err = t.train_epoch_resilient(ds, &mut opt, &mut sup).unwrap_err();
+    assert!(matches!(err, FgnnError::Numeric(_)), "{err}");
+    assert_eq!(sup.rollbacks(), 2);
+    // Every replay restarted from the baseline, so only the last,
+    // unrecovered attempt counts as an epoch.
+    assert_eq!(t.epochs(), 1);
+    let recovered_at: Vec<u32> = sup
+        .transitions()
+        .iter()
+        .filter(|tr| tr.to == HealthState::Recovering)
+        .map(|tr| tr.iter)
+        .collect();
+    assert_eq!(recovered_at, vec![0, 0]);
+}
+
+#[test]
+fn resilient_epoch_errors_when_rollback_budget_exhausted() {
+    let ds = tiny();
+    errors_when_rollback_budget_exhausted(&mut new_trainer(&ds, 8), &ds, |t, i| {
+        t.inject_nan_at([i])
+    });
+    let (mut t, ds) = new_hetero(8);
+    errors_when_rollback_budget_exhausted(&mut t, &ds, |t, i| t.inject_nan_at([i]));
 }
 
 /// A fault storm (every transfer attempt fails) trips the breaker open

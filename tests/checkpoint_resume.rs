@@ -5,15 +5,20 @@
 //! run — plus the corrupt-snapshot error paths and graceful cache
 //! degradation.
 
+use freshgnn_repro::core::baselines::{
+    ClusterGcnTrainer, GasConfig, GasTrainer, SamplingBaselineTrainer, SamplingKind,
+};
 use freshgnn_repro::core::checkpoint::{Checkpoint, CheckpointError, MAGIC, VERSION};
+use freshgnn_repro::core::hetero_trainer::HeteroTrainer;
 use freshgnn_repro::core::obs::export::metrics_jsonl;
-use freshgnn_repro::core::{FreshGnnConfig, Trainer};
+use freshgnn_repro::core::{FreshGnnConfig, Recoverable, Trainer};
 use freshgnn_repro::graph::datasets::arxiv_spec;
+use freshgnn_repro::graph::hetero::mag_hetero;
 use freshgnn_repro::graph::sample::split_batches;
 use freshgnn_repro::graph::Dataset;
 use freshgnn_repro::memsim::presets::Machine;
 use freshgnn_repro::nn::model::Arch;
-use freshgnn_repro::nn::Adam;
+use freshgnn_repro::nn::{Adam, Sgd};
 use freshgnn_repro::tensor::Rng;
 
 fn tiny() -> Dataset {
@@ -375,29 +380,167 @@ fn restore_evicts_cache_entries_stamped_after_the_checkpoint() {
     );
 }
 
-/// A checkpoint from a differently-shaped trainer is rejected with
-/// ShapeMismatch, not silently imported.
+/// Restore a checkpoint into a fresh trainer of one family, built with
+/// the given hidden width.
+type RestoreInto = Box<dyn Fn(usize, &Checkpoint) -> Result<bool, CheckpointError>>;
+
+/// One epoch of every trainer family at hidden width 16: its checkpoint,
+/// and restore into a fresh trainer of the same family.
+fn families() -> Vec<(&'static str, Checkpoint, RestoreInto)> {
+    let machine = Machine::single_a100;
+    let gas_cfg = || GasConfig {
+        num_parts: 4,
+        ..Default::default()
+    };
+    let layer_wise = || SamplingKind::LayerWise {
+        layer_sizes: vec![64, 32],
+    };
+    let hetero_cfg = || FreshGnnConfig {
+        fanouts: vec![3, 3],
+        ..cfg()
+    };
+    let ds = std::rc::Rc::new(tiny());
+    let hds = std::rc::Rc::new(mag_hetero(400, 4, 8, 3));
+    let mut out: Vec<(&'static str, Checkpoint, RestoreInto)> = Vec::new();
+
+    let mut opt = Adam::new(0.01);
+    let mut t = new_trainer(&ds, 1);
+    t.train_epoch(&ds, &mut opt);
+    let d = ds.clone();
+    out.push((
+        "trainer",
+        t.checkpoint(&opt),
+        Box::new(move |hidden, c| {
+            let mut t = Trainer::new(&d, Arch::Sage, hidden, machine(), cfg(), 1);
+            t.restore(c, &mut Adam::new(0.01))
+        }),
+    ));
+
+    let mut opt = Adam::new(0.01);
+    let mut t = HeteroTrainer::new(&hds, 16, machine(), hetero_cfg(), 1);
+    t.train_epoch(&hds, &mut opt);
+    let d = hds.clone();
+    out.push((
+        "hetero",
+        t.checkpoint(&opt),
+        Box::new(move |hidden, c| {
+            let mut t = HeteroTrainer::new(&d, hidden, machine(), hetero_cfg(), 1);
+            t.restore(c, &mut Adam::new(0.01))
+        }),
+    ));
+
+    let mut opt = Adam::new(0.01);
+    let mut t = GasTrainer::new(&ds, Arch::Sage, 16, 2, machine(), gas_cfg(), 1);
+    t.train_epoch(&ds, &mut opt);
+    let d = ds.clone();
+    out.push((
+        "gas",
+        t.checkpoint(&opt),
+        Box::new(move |hidden, c| {
+            let mut t = GasTrainer::new(&d, Arch::Sage, hidden, 2, machine(), gas_cfg(), 1);
+            t.restore(c, &mut Adam::new(0.01))
+        }),
+    ));
+
+    let mut opt = Adam::new(0.01);
+    let mut t = ClusterGcnTrainer::new(&ds, Arch::Gcn, 16, 2, 8, 2, machine(), 1);
+    t.train_epoch(&ds, &mut opt);
+    let d = ds.clone();
+    out.push((
+        "cluster-gcn",
+        t.checkpoint(&opt),
+        Box::new(move |hidden, c| {
+            let mut t = ClusterGcnTrainer::new(&d, Arch::Gcn, hidden, 2, 8, 2, machine(), 1);
+            t.restore(c, &mut Adam::new(0.01))
+        }),
+    ));
+
+    let mut opt = Adam::new(0.01);
+    let mut t =
+        SamplingBaselineTrainer::new(&ds, Arch::Sage, 16, 2, 32, layer_wise(), machine(), 1);
+    t.train_epoch(&ds, &mut opt);
+    let d = ds.clone();
+    out.push((
+        "sampling",
+        t.checkpoint(&opt),
+        Box::new(move |hidden, c| {
+            let mut t = SamplingBaselineTrainer::new(
+                &d,
+                Arch::Sage,
+                hidden,
+                2,
+                32,
+                layer_wise(),
+                machine(),
+                1,
+            );
+            t.restore(c, &mut Adam::new(0.01))
+        }),
+    ));
+    out
+}
+
+/// A checkpoint that does not fit the trainer — other width, other
+/// architecture, other parameter count, other static-cache size — is
+/// rejected with a ShapeMismatch naming the check, for every trainer
+/// family, not silently imported.
 #[test]
 fn shape_mismatch_is_rejected() {
+    let rejects = |name: &str, result: Result<bool, CheckpointError>, check: &str| match result {
+        Err(CheckpointError::ShapeMismatch(m)) => {
+            assert!(
+                m.contains(check),
+                "{name}: expected a {check} mismatch, got {m}"
+            )
+        }
+        other => panic!("{name}: expected a {check} mismatch, got {other:?}"),
+    };
+    for (name, ckpt, restore_into) in families() {
+        restore_into(16, &ckpt).unwrap_or_else(|e| panic!("{name}: matching restore: {e}"));
+        rejects(name, restore_into(32, &ckpt), "dims");
+
+        let mut other_arch = ckpt.clone();
+        other_arch.arch = if ckpt.arch == Arch::Gcn {
+            Arch::Gat
+        } else {
+            Arch::Gcn
+        };
+        rejects(name, restore_into(16, &other_arch), "arch");
+
+        let mut short = ckpt.clone();
+        short.params.pop();
+        rejects(name, restore_into(16, &short), "parameters");
+
+        if !ckpt.static_resident.is_empty() {
+            let mut small_static = ckpt.clone();
+            small_static.static_resident.pop();
+            rejects(name, restore_into(16, &small_static), "static cache");
+        }
+    }
+}
+
+/// A checkpoint whose optimizer state belongs to another optimizer type is
+/// rejected before anything is written: SGD-with-momentum state restored
+/// into an Adam trainer errors, and trainer and optimizer stay
+/// bit-identical.
+#[test]
+fn optimizer_mismatch_is_rejected_before_any_state_changes() {
     let ds = tiny();
-    let mut t = new_trainer(&ds, 1);
-    let mut opt = Adam::new(0.01);
-    t.train_epoch(&ds, &mut opt);
-    let ckpt = t.checkpoint(&opt);
+    let mut src = new_trainer(&ds, 3);
+    let mut sgd = Sgd::with_momentum(0.01, 0.9);
+    src.train_epoch(&ds, &mut sgd);
+    let sgd_ckpt = src.checkpoint(&sgd);
 
-    // Different hidden width.
-    let mut wrong_width = Trainer::new(&ds, Arch::Sage, 32, Machine::single_a100(), cfg(), 1);
-    let mut opt2 = Adam::new(0.01);
+    let mut t = new_trainer(&ds, 4);
+    let mut adam = Adam::new(0.01);
+    t.train_epoch(&ds, &mut adam);
+    let before = t.checkpoint(&adam).to_bytes();
     assert!(matches!(
-        wrong_width.restore(&ckpt, &mut opt2),
+        t.restore(&sgd_ckpt, &mut adam),
         Err(CheckpointError::ShapeMismatch(_))
     ));
-
-    // Different architecture.
-    let mut wrong_arch = Trainer::new(&ds, Arch::Gcn, 16, Machine::single_a100(), cfg(), 1);
-    let mut opt3 = Adam::new(0.01);
-    assert!(matches!(
-        wrong_arch.restore(&ckpt, &mut opt3),
-        Err(CheckpointError::ShapeMismatch(_))
-    ));
+    assert!(
+        t.checkpoint(&adam).to_bytes() == before,
+        "a rejected restore changed the trainer or its optimizer"
+    );
 }

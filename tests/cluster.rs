@@ -13,7 +13,7 @@ mod common;
 use freshgnn_repro::core::cluster::{
     cluster_bench_json, ClusterBenchRow, ClusterConfig, ClusterTrainer, HostStatus, RoundEngine,
 };
-use freshgnn_repro::core::{FgnnError, FreshGnnConfig, Trainer};
+use freshgnn_repro::core::{FgnnError, FreshGnnConfig, Recoverable, Trainer};
 use freshgnn_repro::graph::datasets::arxiv_spec;
 use freshgnn_repro::graph::Dataset;
 use freshgnn_repro::memsim::fault::{BreakerPolicy, FaultPlan, RetryPolicy};

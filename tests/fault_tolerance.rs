@@ -6,7 +6,7 @@
 use freshgnn_repro::core::hetero_trainer::HeteroTrainer;
 use freshgnn_repro::core::multi_gpu::{profile_system, profile_system_faulted, SystemKind};
 use freshgnn_repro::core::sampler::{AsyncSampler, FaultHook, SampleError};
-use freshgnn_repro::core::{FreshGnnConfig, Trainer};
+use freshgnn_repro::core::{FreshGnnConfig, Recoverable, Trainer};
 use freshgnn_repro::graph::datasets::arxiv_spec;
 use freshgnn_repro::graph::hetero::mag_hetero;
 use freshgnn_repro::graph::sample::split_batches;
